@@ -474,16 +474,29 @@ impl AscsSketch {
     /// planned offer path: the per-sample gate is recomputed only when the
     /// stream time changes, and the sketch-table buckets of upcoming
     /// entries are prefetched [`PLAN_PREFETCH_DISTANCE`] updates ahead.
-    /// This is the steady-state ingestion loop of the throughput harness
-    /// and of each sharded worker.
+    /// This is the steady-state ingestion loop of the throughput harness,
+    /// of each sharded worker and of each serving worker.
     ///
     /// # Panics
     /// Panics if the plan does not match this sketch's hash family.
     pub fn ingest_planned(&mut self, plan: &HashPlan, updates: &[ShardUpdate]) {
+        self.ingest_planned_with(plan, updates, |_| {});
+    }
+
+    /// [`AscsSketch::ingest_planned`] calling `before(i)` right before
+    /// update `i` of the batch is offered — the serving workers' per-update
+    /// fault-injection hook.
+    pub(crate) fn ingest_planned_with(
+        &mut self,
+        plan: &HashPlan,
+        updates: &[ShardUpdate],
+        mut before: impl FnMut(usize),
+    ) {
         self.sketch.verify_plan(plan);
         let mut gate_t = u64::MAX;
         let mut gate: Option<SampleGate> = None;
         for (i, u) in updates.iter().enumerate() {
+            before(i);
             if let Some(ahead) = updates.get(i + PLAN_PREFETCH_DISTANCE) {
                 self.sketch.prefetch_planned(plan, ahead.key as usize);
             }

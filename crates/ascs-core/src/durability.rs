@@ -1149,7 +1149,8 @@ impl RecoveryManager {
                 });
                 for (shard, buf) in scratch.iter().enumerate() {
                     if !buf.is_empty() {
-                        apply_batch(&mut sketches[shard], buf, None);
+                        // Hashed: no plan is built before recovery ends.
+                        apply_batch(&mut sketches[shard], buf, None, None);
                     }
                 }
                 epoch = t;

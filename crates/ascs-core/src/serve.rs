@@ -7,10 +7,22 @@
 //! [`ServingEstimator::try_ingest`] expands a sample into pair updates,
 //! routes them with the *same* salted router as [`ShardedAscs`], and
 //! returns a typed [`IngestError::Overloaded`] instead of blocking when a
-//! queue is full. Readers never touch worker state: they read the last
-//! *published* [`Snapshot`] — a merged table built via count-sketch
-//! linearity and swapped in behind an `Arc` — so point queries, whole
-//! universe sweeps and top-k reads never observe a torn table.
+//! queue is full.
+//!
+//! When the hash plan over the pair universe is no larger than one shard's
+//! table ([`ServingEstimator::plan_eligible`]), the first worker to receive
+//! a batch builds it once, with a slot → shard byte table, and the hot path
+//! stops hashing: the producer routes each update with one byte load, and
+//! every worker (live batches and restart replays alike) applies its
+//! batches through [`AscsSketch::ingest_planned`]'s driver. Until the plan
+//! is ready, and for instances above the rule, both sides stay on the
+//! hashed path; the two paths give bit-identical state.
+//!
+//! Readers never touch worker state: they read the last *published*
+//! [`Snapshot`] — a merged table built via count-sketch linearity and
+//! swapped in behind an `Arc` — so point queries, whole universe sweeps
+//! and top-k reads never observe a torn table. Snapshots published once
+//! the plan is ready share it for their whole-universe sweeps.
 //!
 //! Robustness is structural, not best-effort:
 //!
@@ -47,15 +59,15 @@ use crate::estimator::{ReportedPair, MAX_PLANNED_PAIRS, TRANSIENT_PLAN_PAIRS};
 use crate::hyper::{HyperParameterSolver, HyperParameters};
 use crate::pair::PairIndexer;
 use crate::sharded::{shard_for, ShardUpdate, MAX_SHARDS, ROUTER_SALT};
-use crate::stream::{Sample, StreamContext};
+use crate::stream::{PairUpdate, Sample, StreamContext};
 use crate::supervisor::{
-    lock, spawn_supervisor, spawn_worker, Envelope, RecoveryState, ShardQueue, WorkerContext,
-    WorkerShared,
+    lock, spawn_supervisor, spawn_worker, Envelope, PlanCell, PlanRecipe, RecoveryState,
+    ShardQueue, WorkerContext, WorkerShared,
 };
 use crate::theory::TheoryBounds;
 use crate::timeaware::window_span;
 use ascs_count_sketch::codec::{DurableFs, StdFs};
-use ascs_count_sketch::CountSketch;
+use ascs_count_sketch::{CountSketch, HashPlan, MAX_ROWS};
 use ascs_sketch_hash::splitmix64;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -253,6 +265,8 @@ pub(crate) struct ServeShared {
     pub(crate) torn_checkpoints: AtomicU64,
     /// Shards abandoned after exhausting their restart budget.
     pub(crate) failed_shards: AtomicU64,
+    /// The instance's hash plan and slot router, once a worker built them.
+    pub(crate) plan: PlanCell,
 }
 
 /// An immutable, epoch-stamped merged view of the whole serving state.
@@ -267,6 +281,9 @@ pub struct Snapshot {
     skipped: u64,
     num_pairs: u64,
     indexer: PairIndexer,
+    /// The instance's plan over `0..num_pairs`, when it was ready at
+    /// publish time.
+    plan: Option<Arc<HashPlan>>,
 }
 
 impl Snapshot {
@@ -292,8 +309,9 @@ impl Snapshot {
     }
 
     /// Estimates for every pair key in `0..p` as one blocked
-    /// `estimate_many` sweep (point queries beyond the transient-plan
-    /// bound), mirroring `CovarianceEstimator::all_estimates`.
+    /// `estimate_many` sweep over the instance's plan, or over a transient
+    /// one when the snapshot holds none (point queries beyond the
+    /// transient-plan bound), mirroring `CovarianceEstimator::all_estimates`.
     pub fn all_estimates(&self) -> Vec<f64> {
         let p = self.num_pairs;
         assert!(
@@ -301,7 +319,9 @@ impl Snapshot {
             "enumerating {p} pairs would be prohibitively slow; use top_pairs()"
         );
         let mut out = Vec::new();
-        if p <= TRANSIENT_PLAN_PAIRS {
+        if let Some(plan) = &self.plan {
+            self.merged.estimate_many(plan, &mut out);
+        } else if p <= TRANSIENT_PLAN_PAIRS {
             self.merged
                 .estimate_many(&self.merged.build_plan(p as usize), &mut out);
             out.truncate(p as usize);
@@ -622,6 +642,18 @@ pub fn jittered_backoff(step: u32, rng: &mut u64) -> Duration {
 }
 
 impl ServingEstimator {
+    /// Whether instances serving `config` run on the plan path. The size
+    /// rule: the hash plan over the pair universe, `p·(4K + 4)` bytes, is
+    /// no larger than one shard's table, `K·R·8` bytes. The geometry must
+    /// also be one the planned kernel takes (`K ≤ MAX_ROWS`, `R < 2³²`).
+    /// Above the rule every update is hashed, bit-identically.
+    pub fn plan_eligible(config: &AscsConfig) -> bool {
+        let (rows, range) = (config.geometry.rows, config.geometry.range);
+        let plan_bytes = u128::from(config.num_pairs()) * (4 * rows as u128 + 4);
+        let table_bytes = rows as u128 * range as u128 * 8;
+        rows <= MAX_ROWS && range <= u32::MAX as usize && plan_bytes <= table_bytes
+    }
+
     /// Launches a gated serving instance, solving the hyperparameters via
     /// Algorithm 3 with the 10 %-exploration fallback (like
     /// `CovarianceEstimator::new_or_fallback`).
@@ -774,7 +806,7 @@ impl ServingEstimator {
                 assert_eq!(boot.len(), opts.shards, "recovery shard count mismatch");
                 let replies: Vec<(usize, AscsSketch)> =
                     state.shard_sketches.into_iter().enumerate().collect();
-                let initial = snapshot_from(&config, state.epoch, &replies);
+                let initial = snapshot_from(&config, state.epoch, &replies, None);
                 (state.epoch, state.ctx, state.emitted_updates, boot, initial)
             }
             None => {
@@ -791,11 +823,20 @@ impl ServingEstimator {
                     skipped: 0,
                     num_pairs: config.num_pairs(),
                     indexer: PairIndexer::new(config.dim),
+                    plan: None,
                 };
                 let ctx = StreamContext::new(config.dim, config.update_mode, config.estimand);
                 (0, ctx, 0, vec![(checkpoint, 0); opts.shards], initial)
             }
         };
+        let router_salt = splitmix64(config.seed ^ ROUTER_SALT);
+        // Only the recipe is fixed here; the first worker to receive a
+        // batch builds the plan, so launch latency does not grow with it.
+        let recipe = Self::plan_eligible(&config).then(|| PlanRecipe {
+            pairs: config.num_pairs() as usize,
+            router_salt,
+            shards: opts.shards,
+        });
         let shared = Arc::new(ServeShared {
             published: Mutex::new(Arc::new(initial)),
             ingest_epoch: AtomicU64::new(t),
@@ -804,6 +845,7 @@ impl ServingEstimator {
             restarts: AtomicU64::new(0),
             torn_checkpoints: AtomicU64::new(0),
             failed_shards: AtomicU64::new(0),
+            plan: PlanCell::new(recipe),
         });
         let (events_tx, events_rx) = mpsc::channel();
         let mut workers = Vec::with_capacity(opts.shards);
@@ -835,7 +877,7 @@ impl ServingEstimator {
         Self {
             ctx: stream_ctx,
             t,
-            router_salt: splitmix64(config.seed ^ ROUTER_SALT),
+            router_salt,
             shared,
             workers,
             supervisor: Some(supervisor),
@@ -910,15 +952,24 @@ impl ServingEstimator {
             buf.clear();
         }
         let scratch = &mut self.scratch;
-        let salt = self.router_salt;
-        let shards = self.workers.len();
-        let emitted = self.ctx.ingest(sample, |u| {
-            scratch[shard_for(u.key, salt, shards)].push(ShardUpdate {
-                key: u.key,
-                value: u.value,
-                t,
-            });
-        });
+        let update = |u: PairUpdate| ShardUpdate {
+            key: u.key,
+            value: u.value,
+            t,
+        };
+        // The slot router agrees with `shard_for` on every key, so the
+        // switch to it once the plan is ready changes no shard's stream.
+        let emitted = match self.shared.plan.ready() {
+            Some(ready) => self.ctx.ingest(sample, |u| {
+                scratch[usize::from(ready.router[u.key as usize])].push(update(u));
+            }),
+            None => {
+                let (salt, shards) = (self.router_salt, self.workers.len());
+                self.ctx.ingest(sample, |u| {
+                    scratch[shard_for(u.key, salt, shards)].push(update(u));
+                })
+            }
+        };
         self.t = t;
         self.shared.ingest_epoch.store(t, Ordering::SeqCst);
         for (worker, buf) in self.workers.iter().zip(self.scratch.iter_mut()) {
@@ -1005,7 +1056,8 @@ impl ServingEstimator {
     pub fn refresh_snapshot(&mut self) -> Result<Arc<Snapshot>, ServeError> {
         let epoch = self.t;
         let replies = self.collect_sketches()?;
-        let snapshot = Arc::new(snapshot_from(&self.config, epoch, &replies));
+        let plan = self.shared.plan.ready().map(|ready| ready.plan.clone());
+        let snapshot = Arc::new(snapshot_from(&self.config, epoch, &replies, plan));
         *lock(&self.shared.published) = snapshot.clone();
         Ok(snapshot)
     }
@@ -1224,7 +1276,12 @@ impl ServingEstimator {
 /// keys re-scored against the merged table. A free function so the
 /// durable launch path can publish the recovered state before the
 /// estimator exists.
-fn snapshot_from(config: &AscsConfig, epoch: u64, replies: &[(usize, AscsSketch)]) -> Snapshot {
+fn snapshot_from(
+    config: &AscsConfig,
+    epoch: u64,
+    replies: &[(usize, AscsSketch)],
+    plan: Option<Arc<HashPlan>>,
+) -> Snapshot {
     let mut merged = replies[0].1.sketch().clone();
     for (_, worker) in &replies[1..] {
         merged.merge(worker.sketch());
@@ -1250,6 +1307,7 @@ fn snapshot_from(config: &AscsConfig, epoch: u64, replies: &[(usize, AscsSketch)
         skipped,
         num_pairs: config.num_pairs(),
         indexer: PairIndexer::new(config.dim),
+        plan,
     }
 }
 
@@ -1506,5 +1564,105 @@ impl TimeAwareSnapshotView {
     /// Mean estimate for the feature pair `(a, b)`.
     pub fn estimate_pair(&self, a: u64, b: u64) -> f64 {
         self.estimate(self.indexer.index(a, b))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{EstimandKind, SketchGeometry};
+
+    /// Covariance, so every sample emits updates from the first one on.
+    fn config(dim: u64, rows: usize, range: usize) -> AscsConfig {
+        AscsConfig {
+            estimand: EstimandKind::Covariance,
+            ..AscsConfig::recommended(dim, 256, SketchGeometry::new(rows, range))
+        }
+    }
+
+    /// The size rule `p·(4K + 4) ≤ K·R·8` at its boundary, and on the
+    /// geometries the tests and the benchmark serve.
+    #[test]
+    fn plan_size_rule_holds_at_its_boundary() {
+        // d = 5 is 10 pairs: 240 B of plan against 240 B of table at 5×6.
+        assert!(ServingEstimator::plan_eligible(&config(5, 5, 6)));
+        assert!(!ServingEstimator::plan_eligible(&config(5, 5, 5)));
+        assert!(!ServingEstimator::plan_eligible(&config(6, 5, 6)));
+        // 5×512: 853 pairs fit in the 20 KiB table, so d = 41 (820 pairs)
+        // is the largest eligible dimension.
+        assert!(ServingEstimator::plan_eligible(&config(16, 5, 512)));
+        assert!(ServingEstimator::plan_eligible(&config(41, 5, 512)));
+        assert!(!ServingEstimator::plan_eligible(&config(42, 5, 512)));
+        assert!(!ServingEstimator::plan_eligible(&config(64, 5, 512)));
+        // The dense and the sparse benchmark geometries.
+        assert!(ServingEstimator::plan_eligible(&config(128, 5, 32768)));
+        assert!(!ServingEstimator::plan_eligible(&config(100_000, 5, 65536)));
+        // Rows beyond the planned kernel's cap never plan.
+        assert!(!ServingEstimator::plan_eligible(&config(
+            5,
+            MAX_ROWS + 1,
+            1 << 20
+        )));
+    }
+
+    fn ingest_dense(serving: &mut ServingEstimator, samples: u64) {
+        let dim = serving.config().dim;
+        for t in 1..=samples {
+            let values = (0..dim)
+                .map(|f| ((t * 31 + f * 7) % 5) as f64 * 0.5 - 1.1)
+                .collect();
+            serving.try_ingest(&Sample::dense(values)).expect("ingest");
+        }
+    }
+
+    /// Under the rule, the first batch builds one plan: the producer's
+    /// router agrees with the hashed router on every key, every snapshot
+    /// after it shares the same plan, and the sweep over it is
+    /// bit-identical to per-key point queries.
+    #[test]
+    fn eligible_instances_share_one_plan_across_router_and_snapshots() {
+        let cfg = config(16, 5, 512);
+        let mut serving = ServingEstimator::launch_vanilla(cfg, ServeOptions::default());
+        ingest_dense(&mut serving, 8);
+        let first = serving.refresh_snapshot().expect("refresh");
+        ingest_dense(&mut serving, 8);
+        let second = serving.refresh_snapshot().expect("refresh");
+        let ready = serving
+            .shared
+            .plan
+            .ready()
+            .expect("built by the first batch");
+        let (Some(a), Some(b)) = (&first.plan, &second.plan) else {
+            panic!("a snapshot published after the first batch holds no plan");
+        };
+        assert!(Arc::ptr_eq(a, &ready.plan) && Arc::ptr_eq(b, &ready.plan));
+        let pairs = cfg.num_pairs();
+        assert_eq!(ready.router.len() as u64, pairs);
+        for key in 0..pairs {
+            assert_eq!(
+                usize::from(ready.router[key as usize]),
+                shard_for(key, serving.router_salt, serving.shards())
+            );
+        }
+        let swept: Vec<u64> = second.all_estimates().iter().map(|v| v.to_bits()).collect();
+        let point: Vec<u64> = (0..pairs)
+            .map(|key| second.estimate(key).to_bits())
+            .collect();
+        assert_eq!(swept, point);
+        serving.shutdown();
+    }
+
+    /// Above the rule no plan is ever built and snapshots sweep with a
+    /// transient one.
+    #[test]
+    fn ineligible_instances_never_build_a_plan() {
+        let cfg = config(64, 5, 512);
+        let mut serving = ServingEstimator::launch_vanilla(cfg, ServeOptions::default());
+        ingest_dense(&mut serving, 4);
+        let snap = serving.refresh_snapshot().expect("refresh");
+        assert!(serving.shared.plan.ready().is_none());
+        assert!(snap.plan.is_none());
+        assert_eq!(snap.all_estimates().len() as u64, cfg.num_pairs());
+        serving.shutdown();
     }
 }

@@ -65,6 +65,25 @@ pub(crate) fn shard_for(key: u64, salt: u64, shards: usize) -> usize {
     }
 }
 
+/// Extends a slot → shard routing table to cover the plan slots `0..len`
+/// (`router[slot] == shard_for(slot, salt, shards)`). The one builder
+/// behind [`ShardedAscs::build_slot_router`] and the serving producer's
+/// router.
+///
+/// # Panics
+/// Panics with more than [`MAX_SHARDS`] shards (the table stores `u8`
+/// shard ids).
+pub(crate) fn extend_slot_router(router: &mut Vec<u8>, len: usize, salt: u64, shards: usize) {
+    assert!(
+        shards <= MAX_SHARDS,
+        "slot routing supports at most {MAX_SHARDS} shards"
+    );
+    while router.len() < len {
+        let slot = router.len() as u64;
+        router.push(shard_for(slot, salt, shards) as u8);
+    }
+}
+
 /// `N` key-partitioned [`AscsSketch`] workers that ingest in parallel and
 /// answer queries as if their tables had been merged.
 #[derive(Debug, Clone)]
@@ -230,16 +249,12 @@ impl ShardedAscs {
     /// shard ids). Unreachable through the public constructors, which
     /// enforce the cap up front; kept as defense in depth.
     pub fn build_slot_router(&mut self, len: usize) {
-        let shards = self.workers.len();
-        assert!(
-            shards <= MAX_SHARDS,
-            "slot routing supports at most {MAX_SHARDS} shards"
+        extend_slot_router(
+            &mut self.slot_router,
+            len,
+            self.router_salt,
+            self.workers.len(),
         );
-        while self.slot_router.len() < len {
-            let slot = self.slot_router.len() as u64;
-            self.slot_router
-                .push(shard_for(slot, self.router_salt, shards) as u8);
-        }
     }
 
     /// Plan-driven counterpart of [`ShardedAscs::offer_batch`]: update keys

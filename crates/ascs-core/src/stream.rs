@@ -259,37 +259,48 @@ impl StreamContext {
     /// a bias of only `warmup / T` on the final estimates.
     pub const CORRELATION_WARMUP: u64 = 16;
 
-    fn scale_for(&self, a: u64, b: u64) -> Option<f64> {
+    /// Whether the correlation estimand is still in its warm-up, when a
+    /// sample emits no updates at all.
+    fn correlation_warming_up(&self) -> bool {
+        self.estimand == EstimandKind::Correlation && self.samples_seen <= Self::CORRELATION_WARMUP
+    }
+
+    /// Product-mode updates. For the correlation estimand each non-zero
+    /// feature's σ̂ is read once per sample, not twice per pair.
+    fn emit_product_updates(&self, sample: &Sample, emit: &mut impl FnMut(PairUpdate)) -> u64 {
+        if self.correlation_warming_up() {
+            return 0;
+        }
+        let nz = sample.nonzeros();
         match self.estimand {
-            EstimandKind::Covariance => Some(1.0),
+            EstimandKind::Covariance => self.emit_product_pairs(&nz, emit, |_, _| Some(1.0)),
             EstimandKind::Correlation => {
-                if self.samples_seen <= Self::CORRELATION_WARMUP {
-                    return None;
-                }
-                let sa = self.feature_std(a);
-                let sb = self.feature_std(b);
-                if sa > 0.0 && sb > 0.0 {
-                    Some(1.0 / (sa * sb))
-                } else {
-                    None
-                }
+                let stds: Vec<f64> = nz.iter().map(|&(f, _)| self.feature_std(f)).collect();
+                self.emit_product_pairs(&nz, emit, |ia, ib| correlation_scale(stds[ia], stds[ib]))
             }
         }
     }
 
-    fn emit_product_updates(&self, sample: &Sample, emit: &mut impl FnMut(PairUpdate)) -> u64 {
-        let nz = sample.nonzeros();
+    /// The product-mode pair loop over a sample's non-zeros; `scale(ia,
+    /// ib)` gets the positions in `nz` of the pair's lower and higher
+    /// feature.
+    fn emit_product_pairs(
+        &self,
+        nz: &[(u64, f64)],
+        emit: &mut impl FnMut(PairUpdate),
+        scale: impl Fn(usize, usize) -> Option<f64>,
+    ) -> u64 {
         let mut emitted = 0;
         for i in 0..nz.len() {
             for j in (i + 1)..nz.len() {
                 let (fa, va) = nz[i];
                 let (fb, vb) = nz[j];
-                let (a, b, va, vb) = if fa < fb {
-                    (fa, fb, va, vb)
+                let (a, b, va, vb, ia, ib) = if fa < fb {
+                    (fa, fb, va, vb, i, j)
                 } else {
-                    (fb, fa, vb, va)
+                    (fb, fa, vb, va, j, i)
                 };
-                let Some(scale) = self.scale_for(a, b) else {
+                let Some(scale) = scale(ia, ib) else {
                     continue;
                 };
                 let value = va * vb * scale;
@@ -308,14 +319,39 @@ impl StreamContext {
         emitted
     }
 
+    /// Centered-mode updates. For the correlation estimand every feature's
+    /// σ̂ is read once per sample, not twice per pair.
     fn emit_centered_updates(&self, sample: &Sample, emit: &mut impl FnMut(PairUpdate)) -> u64 {
+        if self.correlation_warming_up() {
+            return 0;
+        }
         let d = self.dim();
-        let mut emitted = 0;
         // Centered mode touches every pair; it is intended for moderate d
         // (the paper's rigorous-evaluation datasets use d = 1000).
         let centered: Vec<f64> = (0..d)
             .map(|i| sample.value(i) - self.feature_mean(i))
             .collect();
+        match self.estimand {
+            EstimandKind::Covariance => self.emit_centered_pairs(&centered, emit, |_, _| Some(1.0)),
+            EstimandKind::Correlation => {
+                let stds: Vec<f64> = (0..d).map(|i| self.feature_std(i)).collect();
+                self.emit_centered_pairs(&centered, emit, |a, b| {
+                    correlation_scale(stds[a], stds[b])
+                })
+            }
+        }
+    }
+
+    /// The centered-mode pair loop over every feature pair `a < b`;
+    /// `scale(a, b)` gets the two feature indices.
+    fn emit_centered_pairs(
+        &self,
+        centered: &[f64],
+        emit: &mut impl FnMut(PairUpdate),
+        scale: impl Fn(usize, usize) -> Option<f64>,
+    ) -> u64 {
+        let d = self.dim();
+        let mut emitted = 0;
         for a in 0..d {
             let ca = centered[a as usize];
             if ca == 0.0 {
@@ -326,7 +362,7 @@ impl StreamContext {
                 if cb == 0.0 {
                     continue;
                 }
-                let Some(scale) = self.scale_for(a, b) else {
+                let Some(scale) = scale(a as usize, b as usize) else {
                     continue;
                 };
                 emit(PairUpdate {
@@ -426,6 +462,13 @@ impl StreamContext {
     }
 }
 
+/// The correlation scale `1 / (σ̂_a σ̂_b)` of a pair, from the features'
+/// running standard deviations; `None` when either has zero variance.
+#[inline]
+fn correlation_scale(sa: f64, sb: f64) -> Option<f64> {
+    (sa > 0.0 && sb > 0.0).then(|| 1.0 / (sa * sb))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +547,119 @@ mod tests {
         let sb = ctx.feature_std(1);
         assert!(sa > 0.0 && sb > 0.0);
         assert!((updates[0].value - 1.0 / (sa * sb)).abs() < 1e-12);
+    }
+
+    /// The per-pair reference the expansion must reproduce bit for bit and
+    /// in order: every update recomputed from fresh `feature_std` and
+    /// `feature_mean` reads of the context after it took `sample`.
+    fn reference_updates(ctx: &StreamContext, sample: &Sample) -> Vec<(u64, u64)> {
+        let scale = |a: u64, b: u64| match ctx.estimand {
+            EstimandKind::Covariance => Some(1.0),
+            EstimandKind::Correlation => {
+                let (sa, sb) = (ctx.feature_std(a), ctx.feature_std(b));
+                let warm = ctx.samples_seen() > StreamContext::CORRELATION_WARMUP;
+                (warm && sa > 0.0 && sb > 0.0).then(|| 1.0 / (sa * sb))
+            }
+        };
+        let mut out = Vec::new();
+        match ctx.update_mode {
+            UpdateMode::Product => {
+                let nz = sample.nonzeros();
+                for i in 0..nz.len() {
+                    for j in (i + 1)..nz.len() {
+                        let ((a, va), (b, vb)) = if nz[i].0 < nz[j].0 {
+                            (nz[i], nz[j])
+                        } else {
+                            (nz[j], nz[i])
+                        };
+                        if let Some(s) = scale(a, b) {
+                            let value = va * vb * s;
+                            if value != 0.0 {
+                                out.push((ctx.indexer().index(a, b), value.to_bits()));
+                            }
+                        }
+                    }
+                }
+            }
+            UpdateMode::Centered => {
+                for a in 0..ctx.dim() {
+                    for b in (a + 1)..ctx.dim() {
+                        let ca = sample.value(a) - ctx.feature_mean(a);
+                        let cb = sample.value(b) - ctx.feature_mean(b);
+                        if ca == 0.0 || cb == 0.0 {
+                            continue;
+                        }
+                        if let Some(s) = scale(a, b) {
+                            out.push((ctx.indexer().index(a, b), (ca * cb * s).to_bits()));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Pins the emitted `(key, value)` bits against the per-pair reference
+    /// `va · vb · (1 / (σ̂_a σ̂_b))`, so a reordered product or a changed
+    /// σ̂ read shows up even where a tolerance would hide it. Covers dense
+    /// samples with random zeros, sparse samples with unsorted entries, a
+    /// zero-variance feature, stream times on both sides of the warm-up,
+    /// and both update modes and estimands.
+    #[test]
+    fn expansion_bits_match_a_per_pair_reference() {
+        const DIM: u64 = 9;
+        let mut rng = 0x5EED_u64;
+        let mut next = move || {
+            rng = ascs_sketch_hash::splitmix64(rng);
+            rng
+        };
+        let mut value = move || {
+            let r = next();
+            if r % 5 == 0 {
+                0.0
+            } else {
+                (r >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+            }
+        };
+        for mode in [UpdateMode::Product, UpdateMode::Centered] {
+            for estimand in [EstimandKind::Covariance, EstimandKind::Correlation] {
+                for sparse in [false, true] {
+                    let mut ctx = StreamContext::new(DIM, mode, estimand);
+                    for t in 1..=2 * StreamContext::CORRELATION_WARMUP + 8 {
+                        // Feature 0 is constant: zero variance throughout.
+                        let mut values: Vec<f64> = (0..DIM).map(|_| value()).collect();
+                        values[0] = 1.5;
+                        let sample = if sparse {
+                            let mut entries: Vec<(u32, f64)> = values
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &v)| (i as u32, v))
+                                .collect();
+                            entries.rotate_left(t as usize % DIM as usize);
+                            if t % 2 == 0 {
+                                entries.reverse();
+                            }
+                            Sample::sparse(DIM, entries)
+                        } else {
+                            Sample::dense(values)
+                        };
+                        let got: Vec<(u64, u64)> = ctx
+                            .pair_updates(&sample)
+                            .iter()
+                            .map(|u| {
+                                assert_eq!(u.key, ctx.indexer().index(u.a, u.b));
+                                (u.key, u.value.to_bits())
+                            })
+                            .collect();
+                        let want = reference_updates(&ctx, &sample);
+                        assert_eq!(
+                            got, want,
+                            "{mode:?}/{estimand:?} sparse={sparse}: expansion diverged at t={t}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

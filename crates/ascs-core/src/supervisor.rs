@@ -8,11 +8,12 @@
 
 use crate::ascs::AscsSketch;
 use crate::serve::{FaultInjector, ServeShared};
-use crate::sharded::ShardUpdate;
+use crate::sharded::{extend_slot_router, ShardUpdate};
+use ascs_count_sketch::HashPlan;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Locks a mutex, clearing poison: a worker panicking while holding a lock
 /// must not take the whole service down — the supervisor restores the
@@ -145,23 +146,92 @@ pub(crate) enum WorkerEvent {
     Panicked(usize),
 }
 
+/// The serving instance's hash plan over the pair universe `0..p` and its
+/// slot → shard byte table.
+pub(crate) struct ServePlan {
+    /// `(bucket, sign)` of every pair key; snapshots share it for
+    /// whole-universe reads.
+    pub(crate) plan: Arc<HashPlan>,
+    /// `router[key]` is the shard owning `key`.
+    pub(crate) router: Vec<u8>,
+}
+
+/// What a [`ServePlan`] is built from.
+#[derive(Clone, Copy)]
+pub(crate) struct PlanRecipe {
+    pub(crate) pairs: usize,
+    pub(crate) router_salt: u64,
+    pub(crate) shards: usize,
+}
+
+/// The instance's [`ServePlan`], filled once by the first worker to
+/// receive a batch and shared by every worker, restart and snapshot after
+/// that. Empty for good when the instance is above the plan size rule
+/// (`recipe` is `None`).
+pub(crate) struct PlanCell {
+    recipe: Option<PlanRecipe>,
+    cell: OnceLock<ServePlan>,
+}
+
+impl PlanCell {
+    pub(crate) fn new(recipe: Option<PlanRecipe>) -> Self {
+        Self {
+            recipe,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The plan if a worker has built it; never blocks. The producer and
+    /// the snapshots stay on the hashed path until then.
+    pub(crate) fn ready(&self) -> Option<&ServePlan> {
+        self.cell.get()
+    }
+
+    /// The plan, built from `sketch`'s hash family on the first call
+    /// (concurrent callers wait for that build); `None` above the size
+    /// rule.
+    fn get_or_build(&self, sketch: &AscsSketch) -> Option<&ServePlan> {
+        let recipe = self.recipe?;
+        Some(self.cell.get_or_init(|| {
+            let mut router = Vec::with_capacity(recipe.pairs);
+            extend_slot_router(&mut router, recipe.pairs, recipe.router_salt, recipe.shards);
+            ServePlan {
+                plan: Arc::new(sketch.sketch().build_plan(recipe.pairs)),
+                router,
+            }
+        }))
+    }
+}
+
 /// Applies one batch in order, with optional fault injection (first
 /// delivery only; `base` is the shard-local index of the batch's first
-/// update). The gate is memoized per distinct `t`, exactly like the
-/// [`crate::sharded::ShardedAscs`] parallel worker loop, so gated results
-/// are bit-identical to sequential ingestion.
+/// update, and the injector is asked before every update). With a plan
+/// the batch runs through [`AscsSketch::ingest_planned`]'s driver;
+/// without one, through the hashed offer. Either way the gate is memoized
+/// per distinct `t`, exactly like the [`crate::sharded::ShardedAscs`]
+/// worker loops, so gated results are bit-identical to sequential
+/// ingestion.
 pub(crate) fn apply_batch(
     sketch: &mut AscsSketch,
     batch: &[ShardUpdate],
+    plan: Option<&HashPlan>,
     inject: Option<(&dyn FaultInjector, usize, u64)>,
 ) {
-    let mut memo: Option<(u64, crate::ascs::SampleGate)> = None;
-    for (i, u) in batch.iter().enumerate() {
+    let check = |i: usize| {
         if let Some((injector, shard, base)) = inject {
-            if injector.inject_panic(shard, base + i as u64) {
-                panic!("injected fault: shard {shard} update {}", base + i as u64);
+            let index = base + i as u64;
+            if injector.inject_panic(shard, index) {
+                panic!("injected fault: shard {shard} update {index}");
             }
         }
+    };
+    if let Some(plan) = plan {
+        sketch.ingest_planned_with(plan, batch, check);
+        return;
+    }
+    let mut memo: Option<(u64, crate::ascs::SampleGate)> = None;
+    for (i, u) in batch.iter().enumerate() {
+        check(i);
         let gate = match memo {
             Some((t, gate)) if t == u.t => gate,
             _ => {
@@ -197,12 +267,19 @@ impl Drop for RecoveringGuard<'_> {
 /// the replay too (shard-local indices continue from the checkpoint base);
 /// the supervisor's restart budget bounds the resulting crash loop. The
 /// loop then serves the queue until `Shutdown`.
+///
+/// The first worker to receive a batch builds the instance's
+/// [`ServePlan`] (when the instance is under the plan size rule): off the
+/// launch thread, and after launch has returned, so launch latency does
+/// not pay for it. From then on every worker applies its live batches,
+/// and a restarted worker its replay, on the plan path.
 fn run_worker(ctx: &WorkerContext, recovering: bool) {
     let recovering_guard = recovering.then(|| RecoveringGuard { stats: &ctx.stats });
     if recovering {
         ctx.injector.before_recovery(ctx.shard);
     }
     let inject_replay = recovering && ctx.injector.inject_during_recovery();
+    let mut plan = ctx.stats.plan.ready().map(|p| &*p.plan);
     let mut sketch = {
         let mut rec = lock(&ctx.shared.recovery);
         let mut restored = AscsSketch::restore(&mut rec.checkpoint.as_slice())
@@ -211,7 +288,7 @@ fn run_worker(ctx: &WorkerContext, recovering: bool) {
         for batch in &rec.replay {
             let inject =
                 inject_replay.then_some((&*ctx.injector as &dyn FaultInjector, ctx.shard, base));
-            apply_batch(&mut restored, batch, inject);
+            apply_batch(&mut restored, batch, plan, inject);
             base += batch.len() as u64;
         }
         rec.applied_updates = base;
@@ -222,6 +299,9 @@ fn run_worker(ctx: &WorkerContext, recovering: bool) {
         match ctx.shared.queue.pop() {
             Envelope::Batch(batch) => {
                 ctx.injector.before_batch(ctx.shard);
+                if plan.is_none() {
+                    plan = ctx.stats.plan.get_or_build(&sketch).map(|p| &*p.plan);
+                }
                 let len = batch.len() as u64;
                 let mut rec = lock(&ctx.shared.recovery);
                 let base = rec.applied_updates;
@@ -230,7 +310,12 @@ fn run_worker(ctx: &WorkerContext, recovering: bool) {
                 // first update.
                 rec.replay.push(batch);
                 let logged = rec.replay.last().expect("just pushed");
-                apply_batch(&mut sketch, logged, Some((&*ctx.injector, ctx.shard, base)));
+                apply_batch(
+                    &mut sketch,
+                    logged,
+                    plan,
+                    Some((&*ctx.injector, ctx.shard, base)),
+                );
                 rec.applied_updates = base + len;
                 if rec.replay.len() >= ctx.checkpoint_interval {
                     let mut bytes = Vec::with_capacity(rec.checkpoint.len());

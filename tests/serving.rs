@@ -21,10 +21,18 @@ use std::time::{Duration, Instant};
 
 const DIM: u64 = 16;
 const PAIRS: u64 = DIM * (DIM - 1) / 2; // 120
+/// A dimension above the serving plan size rule at 5×512: the plan would
+/// take 2016 pairs × 24 B, more than the 20 KiB of one shard's table, so
+/// instances at this dimension stay on the hashed path.
+const HASHED_DIM: u64 = 64;
 
 fn config(total: u64, seed: u64) -> AscsConfig {
+    config_dim(DIM, total, seed)
+}
+
+fn config_dim(dim: u64, total: u64, seed: u64) -> AscsConfig {
     AscsConfig {
-        dim: DIM,
+        dim,
         total_samples: total,
         geometry: SketchGeometry::new(5, 512),
         alpha: 0.05,
@@ -54,7 +62,11 @@ fn hyper(total: u64) -> HyperParameters {
 /// sample emits all `PAIRS` pair updates — which makes shard-local update
 /// indices (for scripted panics) exactly computable.
 fn sample_at(t: u64) -> Sample {
-    let values: Vec<f64> = (0..DIM)
+    sample_of(DIM, t)
+}
+
+fn sample_of(dim: u64, t: u64) -> Sample {
+    let values: Vec<f64> = (0..dim)
         .map(|f| ((t * 31 + f * 7) % 4) as f64 * 0.6 - 0.9)
         .collect();
     Sample::dense(values)
@@ -62,7 +74,12 @@ fn sample_at(t: u64) -> Sample {
 
 /// Updates shard 0 receives per sample (every sample covers all keys).
 fn shard0_keys_per_sample(oracle: &ReplayOracle) -> u64 {
-    let k0 = (0..PAIRS).filter(|&key| oracle.shard_of(key) == 0).count() as u64;
+    shard0_keys(oracle, DIM)
+}
+
+fn shard0_keys(oracle: &ReplayOracle, dim: u64) -> u64 {
+    let pairs = dim * (dim - 1) / 2;
+    let k0 = (0..pairs).filter(|&key| oracle.shard_of(key) == 0).count() as u64;
     assert!(k0 > 0, "test geometry routes nothing to shard 0");
     k0
 }
@@ -99,14 +116,31 @@ fn assert_snapshot_matches(snapshot: &Snapshot, oracle: &ReplayOracle, what: &st
 
 #[test]
 fn snapshots_are_bit_identical_to_sequential_replay_at_every_epoch() {
+    check_snapshots_against_replay(DIM, true);
+}
+
+#[test]
+fn hashed_path_snapshots_are_bit_identical_to_sequential_replay_at_every_epoch() {
+    check_snapshots_against_replay(HASHED_DIM, false);
+}
+
+/// Every 32 samples, the published snapshot of a `dim`-dimensional
+/// instance equals the sequential oracle. `planned` says which serving
+/// path the dimension is expected to take.
+fn check_snapshots_against_replay(dim: u64, planned: bool) {
     let total = 192u64;
-    let cfg = config(total, 41);
+    let cfg = config_dim(dim, total, 41);
+    assert_eq!(
+        ServingEstimator::plan_eligible(&cfg),
+        planned,
+        "serving path at d={dim}"
+    );
     let hp = hyper(total);
     let mut serving =
         ServingEstimator::launch_with_hyperparameters(cfg, Some(hp), ServeOptions::default());
     let mut oracle = ReplayOracle::new(&cfg, Some(&hp), serving.shards());
     for t in 1..=total {
-        let s = sample_at(t);
+        let s = sample_of(dim, t);
         let emitted = serving.try_ingest(&s).expect("ingest failed");
         assert_eq!(emitted, oracle.ingest(&s), "emitted update count diverged");
         if t % 32 == 0 {
@@ -175,18 +209,34 @@ fn concurrent_readers_never_observe_a_torn_or_regressing_snapshot() {
 
 #[test]
 fn worker_panic_recovers_to_state_bit_identical_to_an_uninterrupted_run() {
+    check_worker_panic_recovery(DIM, true);
+}
+
+#[test]
+fn hashed_path_worker_panic_recovers_to_state_bit_identical_to_an_uninterrupted_run() {
+    check_worker_panic_recovery(HASHED_DIM, false);
+}
+
+/// A scripted panic in a `dim`-dimensional instance recovers to the
+/// sequential oracle's state; `planned` as above.
+fn check_worker_panic_recovery(dim: u64, planned: bool) {
     let total = 192u64;
-    let cfg = config(total, 47);
+    let cfg = config_dim(dim, total, 47);
+    assert_eq!(
+        ServingEstimator::plan_eligible(&cfg),
+        planned,
+        "serving path at d={dim}"
+    );
     let hp = hyper(total);
     let mut oracle = ReplayOracle::new(&cfg, Some(&hp), 2);
-    let k0 = shard0_keys_per_sample(&oracle);
+    let k0 = shard0_keys(&oracle, dim);
     // Panic on the first update of sample 101's shard-0 batch: several
     // checkpoints (interval 32) plus a partial replay log are in play.
     let plan = Arc::new(FaultPlan::new().panic_at(0, k0 * 100));
     let mut serving =
         ServingEstimator::launch_with_faults(cfg, Some(hp), ServeOptions::default(), plan.clone());
     for t in 1..=total {
-        let s = sample_at(t);
+        let s = sample_of(dim, t);
         serving.ingest_blocking(&s).expect("ingest failed");
         oracle.ingest(&s);
     }
