@@ -19,19 +19,25 @@
 //! disables it for ingestion benchmarks that never read the top pairs.
 //!
 //! The ingestion hot path is **fused**: one hashing round per offered
-//! update, shared by the gate read, the insertion and the post-insert
-//! estimate (see [`AscsSketch::offer`]).
+//! update — none when a precomputed [`HashPlan`] supplies the locations —
+//! shared by the gate read, the insertion and the post-insert estimate
+//! (see [`AscsSketch::offer`]). One kernel implements that rule for both
+//! location sources ([`AscsSketch::offer_gated`] hashes,
+//! [`AscsSketch::offer_planned`] replays a plan slot), and one batch driver
+//! ([`AscsSketch::ingest_batch`]) runs it over a slice of updates for
+//! every sequential, sharded and serving ingest path.
 
 use crate::config::SketchGeometry;
 use crate::hyper::HyperParameters;
 use crate::schedule::ThresholdSchedule;
+use crate::serve::IngestError;
 use crate::sharded::ShardUpdate;
 use ascs_count_sketch::codec::{self, CodecError};
 use ascs_count_sketch::{median_in_place, CountSketch, HashPlan, TopKTracker, MAX_ROWS};
 use serde::{Deserialize, Serialize};
 
 /// How many plan entries ahead of the one being processed
-/// [`AscsSketch::ingest_planned`] touches the sketch table, so the randomly
+/// [`AscsSketch::ingest_batch`] touches the sketch table, so the randomly
 /// scattered bucket loads of upcoming updates are in flight while the
 /// current update's gate read and median run.
 const PLAN_PREFETCH_DISTANCE: usize = 4;
@@ -225,15 +231,10 @@ impl AscsSketch {
     ///
     /// # Errors
     /// [`IngestError::NonFinite`] when `x` is NaN or ±inf.
-    pub fn offer_checked(
-        &mut self,
-        key: u64,
-        x: f64,
-        t: u64,
-    ) -> Result<OfferOutcome, crate::serve::IngestError> {
+    pub fn offer_checked(&mut self, key: u64, x: f64, t: u64) -> Result<OfferOutcome, IngestError> {
         if !x.is_finite() {
             self.quarantined += 1;
-            return Err(crate::serve::IngestError::NonFinite {
+            return Err(IngestError::NonFinite {
                 index: key,
                 value: x,
             });
@@ -278,10 +279,9 @@ impl AscsSketch {
     /// reads (`new_row_est = old_row_est + w`, since `s² = 1`; the shift by
     /// a common `w` also preserves the sort order, so the fresh median
     /// falls out of the already-sorted gate values) — no second hashing
-    /// round, no second table traversal, no second sort. Accept decisions
-    /// and table contents match the pre-fusion
-    /// [`AscsSketch::offer_reference`] bit for bit whenever `T` is a power
-    /// of two (see there for the single rounding caveat).
+    /// round, no second table traversal, no second sort. Accept decisions,
+    /// table contents and tracker state match the naive estimate → update
+    /// → estimate reference (`ascs_testkit::NaiveOracle`) bit for bit.
     pub fn offer(&mut self, key: u64, x: f64, t: u64) -> OfferOutcome {
         let gate = self.sample_gate(t);
         self.offer_gated(key, x, gate)
@@ -292,86 +292,7 @@ impl AscsSketch {
     /// of a sample expansion uses.
     #[inline]
     pub fn offer_gated(&mut self, key: u64, x: f64, gate: SampleGate) -> OfferOutcome {
-        if !x.is_finite() {
-            // Quarantine before *any* table access: a NaN inserted once is
-            // unrecoverable (every bucket it touches reads back NaN).
-            self.quarantined += 1;
-            return OfferOutcome {
-                inserted: false,
-                phase: gate.phase,
-            };
-        }
-        if self.sketch.rows() > MAX_ROWS {
-            // Degenerate geometries beyond the stack buffer take the
-            // unfused (but still correct) path.
-            return self.offer_unfused(key, x, gate);
-        }
-        let w = x * self.inv_total;
-        let track = self.tracking_enabled;
-        match gate.phase {
-            AscsPhase::Exploration if !track => {
-                // Nothing reads the table: a plain single-hash insert.
-                self.sketch.update(key, w);
-                self.inserted += 1;
-            }
-            AscsPhase::Exploration => {
-                let locs = self.sketch.locate(key);
-                let mut rows = [0.0f64; MAX_ROWS];
-                let n = self.sketch.row_values_at(&locs, &mut rows);
-                self.sketch.update_at(&locs, w);
-                self.inserted += 1;
-                // Post-insert row estimates follow algebraically from the
-                // reads: (W[e,b] + w·s)·s = W[e,b]·s + w since s² = 1.
-                for v in rows.iter_mut().take(n) {
-                    *v += w;
-                }
-                let fresh = median_in_place(&mut rows[..n]);
-                self.track_offer(key, fresh);
-            }
-            AscsPhase::Sampling => {
-                let locs = self.sketch.locate(key);
-                let mut rows = [0.0f64; MAX_ROWS];
-                let n = self.sketch.row_values_at(&locs, &mut rows);
-                let estimate = median_in_place(&mut rows[..n]);
-                let posterior = estimate + w;
-                let accept = if self.absolute_gate {
-                    estimate.abs() >= gate.tau || posterior.abs() >= gate.tau
-                } else {
-                    estimate >= gate.tau || posterior >= gate.tau
-                };
-                if !accept {
-                    self.skipped += 1;
-                    return OfferOutcome {
-                        inserted: false,
-                        phase: gate.phase,
-                    };
-                }
-                self.sketch.update_at(&locs, w);
-                self.inserted += 1;
-                if track {
-                    // The insert adds the *same* `w` to every row estimate
-                    // (s² = 1), a monotone shift that commutes with the
-                    // median — so for odd K the fresh median is just the
-                    // gate median shifted: no second table traversal, no
-                    // second median reduction. (Even K averages the two
-                    // middle values, where the shift does not commute
-                    // bit-exactly; re-reduce the shifted values there.)
-                    let fresh = if n % 2 == 1 {
-                        estimate + w
-                    } else {
-                        for v in rows.iter_mut().take(n) {
-                            *v += w;
-                        }
-                        median_in_place(&mut rows[..n])
-                    };
-                    self.track_offer(key, fresh);
-                }
-            }
-        }
-        OfferOutcome {
-            inserted: true,
-            phase: gate.phase,
-        }
+        self.offer_at(None, key, x, gate)
     }
 
     /// [`AscsSketch::offer_gated`] driven by a precomputed [`HashPlan`]
@@ -381,10 +302,6 @@ impl AscsSketch {
     /// decisions, table contents and tracker state are bit-identical to the
     /// hashed path; the plan merely replays the same `(bucket, sign)`
     /// locations from its arena.
-    ///
-    /// Geometries beyond [`MAX_ROWS`] rows take the unfused fallback, which
-    /// hashes — the stack buffers of the fused structure cap at `MAX_ROWS`
-    /// and such geometries are outside every benchmarked configuration.
     #[inline]
     pub fn offer_planned(
         &mut self,
@@ -393,118 +310,147 @@ impl AscsSketch {
         x: f64,
         gate: SampleGate,
     ) -> OfferOutcome {
+        self.offer_at(Some(plan), slot, x, gate)
+    }
+
+    /// The gate/update/track kernel behind every offer. A key's
+    /// `(bucket, sign)` locations come from plan slot `key` when `plan` is
+    /// given and from hashing `key` otherwise; nothing else depends on the
+    /// source, so the planned and hashed paths are bit-identical by
+    /// construction. Geometries beyond [`MAX_ROWS`] rows take the unfused
+    /// path, which hashes: the stack buffers cap there.
+    #[inline(always)]
+    pub(crate) fn offer_at(
+        &mut self,
+        plan: Option<&HashPlan>,
+        key: u64,
+        x: f64,
+        gate: SampleGate,
+    ) -> OfferOutcome {
+        let outcome = |inserted| OfferOutcome {
+            inserted,
+            phase: gate.phase,
+        };
         if !x.is_finite() {
-            // Same quarantine as the hashed path, before any table access.
+            // Quarantine before *any* table access: a NaN inserted once is
+            // unrecoverable (every bucket it touches reads back NaN).
             self.quarantined += 1;
-            return OfferOutcome {
-                inserted: false,
-                phase: gate.phase,
-            };
+            return outcome(false);
         }
         if self.sketch.rows() > MAX_ROWS {
-            return self.offer_unfused(slot, x, gate);
+            return self.offer_unfused(key, x, gate);
         }
+        let hashed;
+        let (buckets, mask) = match plan {
+            Some(plan) => plan.entry(key as usize),
+            None => {
+                hashed = self.sketch.locate(key);
+                (hashed.buckets(), hashed.sign_mask())
+            }
+        };
         let w = x * self.inv_total;
-        let track = self.tracking_enabled;
-        let slot = slot as usize;
-        match gate.phase {
-            AscsPhase::Exploration if !track => {
-                self.sketch.update_planned(plan, slot, w);
-                self.inserted += 1;
-            }
-            AscsPhase::Exploration => {
-                let mut rows = [0.0f64; MAX_ROWS];
-                let n = self.sketch.row_values_planned(plan, slot, &mut rows);
-                self.sketch.update_planned(plan, slot, w);
-                self.inserted += 1;
-                for v in rows.iter_mut().take(n) {
-                    *v += w;
-                }
-                let fresh = median_in_place(&mut rows[..n]);
-                self.track_offer(slot as u64, fresh);
-            }
-            AscsPhase::Sampling => {
-                let mut rows = [0.0f64; MAX_ROWS];
-                let n = self.sketch.row_values_planned(plan, slot, &mut rows);
-                let estimate = median_in_place(&mut rows[..n]);
-                let posterior = estimate + w;
-                let accept = if self.absolute_gate {
-                    estimate.abs() >= gate.tau || posterior.abs() >= gate.tau
-                } else {
-                    estimate >= gate.tau || posterior >= gate.tau
-                };
-                if !accept {
-                    self.skipped += 1;
-                    return OfferOutcome {
-                        inserted: false,
-                        phase: gate.phase,
-                    };
-                }
-                self.sketch.update_planned(plan, slot, w);
-                self.inserted += 1;
-                if track {
-                    // Same algebraic shortcut as the hashed path: for odd K
-                    // the fresh median is the gate median shifted by `w`.
-                    let fresh = if n % 2 == 1 {
-                        estimate + w
-                    } else {
-                        for v in rows.iter_mut().take(n) {
-                            *v += w;
-                        }
-                        median_in_place(&mut rows[..n])
-                    };
-                    self.track_offer(slot as u64, fresh);
-                }
-            }
+        if gate.phase == AscsPhase::Exploration && !self.tracking_enabled {
+            // Nothing reads the table: a plain insert.
+            self.sketch.update_at_buckets(buckets, mask, w);
+            self.inserted += 1;
+            return outcome(true);
         }
-        OfferOutcome {
-            inserted: true,
-            phase: gate.phase,
+        let mut rows = [0.0f64; MAX_ROWS];
+        let n = self.sketch.row_values_at_buckets(buckets, mask, &mut rows);
+        let mut gate_median = None;
+        if gate.phase == AscsPhase::Sampling {
+            let estimate = median_in_place(&mut rows[..n]);
+            if !self.clears(estimate, estimate + w, gate.tau) {
+                self.skipped += 1;
+                return outcome(false);
+            }
+            gate_median = Some(estimate);
         }
+        self.sketch.update_at_buckets(buckets, mask, w);
+        self.inserted += 1;
+        if self.tracking_enabled {
+            // Post-insert row estimates follow algebraically from the reads:
+            // (W[e,b] + w·s)·s = W[e,b]·s + w since s² = 1. The common shift
+            // commutes with the median for odd K, so the gate median shifted
+            // by `w` is the fresh estimate — no second reduction. (Even K
+            // averages the two middle values, where the shift does not
+            // commute bit-exactly; re-reduce the shifted values there.)
+            let fresh = match gate_median {
+                Some(median) if n % 2 == 1 => median + w,
+                _ => {
+                    for v in &mut rows[..n] {
+                        *v += w;
+                    }
+                    median_in_place(&mut rows[..n])
+                }
+            };
+            self.track_offer(key, fresh);
+        }
+        outcome(true)
     }
 
-    /// [`AscsSketch::offer_planned`] with the gate derived from the stream
-    /// time — the planned counterpart of [`AscsSketch::offer`].
-    pub fn offer_planned_at(&mut self, plan: &HashPlan, slot: u64, x: f64, t: u64) -> OfferOutcome {
-        let gate = self.sample_gate(t);
-        self.offer_planned(plan, slot, x, gate)
+    /// Drives a batch of updates through the offer kernel in order — the
+    /// one ingestion loop of the sequential, sharded and serving paths.
+    /// The per-sample gate is recomputed only when the stream time
+    /// changes. With a plan, update keys are plan slots, and the table
+    /// buckets of an update a few entries ahead are touched early so their
+    /// loads overlap the current update's gate read and median.
+    ///
+    /// # Panics
+    /// Panics if the plan does not match this sketch's hash family.
+    pub fn ingest_batch(&mut self, plan: Option<&HashPlan>, updates: &[ShardUpdate]) {
+        self.ingest_batch_with(plan, updates, |_| {});
     }
 
-    /// Drives a whole batch of updates (keys are plan slots) through the
-    /// planned offer path: the per-sample gate is recomputed only when the
-    /// stream time changes, and the sketch-table buckets of upcoming
-    /// entries are prefetched [`PLAN_PREFETCH_DISTANCE`] updates ahead.
-    /// This is the steady-state ingestion loop of the throughput harness,
-    /// of each sharded worker and of each serving worker.
+    /// [`AscsSketch::ingest_batch`] over a plan — the steady-state loop of
+    /// the throughput harness, the sharded workers and the serving workers
+    /// on instances under the plan size rule.
     ///
     /// # Panics
     /// Panics if the plan does not match this sketch's hash family.
     pub fn ingest_planned(&mut self, plan: &HashPlan, updates: &[ShardUpdate]) {
-        self.ingest_planned_with(plan, updates, |_| {});
+        self.ingest_batch(Some(plan), updates);
     }
 
-    /// [`AscsSketch::ingest_planned`] calling `before(i)` right before
-    /// update `i` of the batch is offered — the serving workers' per-update
-    /// fault-injection hook.
-    pub(crate) fn ingest_planned_with(
+    /// The batch loop behind [`AscsSketch::ingest_batch`], calling
+    /// `before(i)` right before update `i` is offered — the serving
+    /// workers' per-update fault-injection hook. Planned batches prefetch
+    /// [`PLAN_PREFETCH_DISTANCE`] updates ahead.
+    pub(crate) fn ingest_batch_with(
         &mut self,
-        plan: &HashPlan,
+        plan: Option<&HashPlan>,
         updates: &[ShardUpdate],
         mut before: impl FnMut(usize),
     ) {
-        self.sketch.verify_plan(plan);
-        let mut gate_t = u64::MAX;
-        let mut gate: Option<SampleGate> = None;
+        if let Some(plan) = plan {
+            self.sketch.verify_plan(plan);
+        }
+        let mut memo: Option<(u64, SampleGate)> = None;
         for (i, u) in updates.iter().enumerate() {
             before(i);
-            if let Some(ahead) = updates.get(i + PLAN_PREFETCH_DISTANCE) {
+            if let (Some(plan), Some(ahead)) = (plan, updates.get(i + PLAN_PREFETCH_DISTANCE)) {
                 self.sketch.prefetch_planned(plan, ahead.key as usize);
             }
-            if u.t != gate_t {
-                gate = Some(self.sample_gate(u.t));
-                gate_t = u.t;
-            }
-            self.offer_planned(plan, u.key, u.value, gate.expect("gate set above"));
+            let gate = match memo {
+                Some((t, gate)) if t == u.t => gate,
+                _ => {
+                    let gate = self.sample_gate(u.t);
+                    memo = Some((u.t, gate));
+                    gate
+                }
+            };
+            self.offer_at(plan, u.key, u.value, gate);
+        }
+    }
+
+    /// Whether an estimate or its would-be successor clears `tau` under the
+    /// configured gate (absolute or signed).
+    #[inline]
+    fn clears(&self, estimate: f64, posterior: f64, tau: f64) -> bool {
+        if self.absolute_gate {
+            estimate.abs() >= tau || posterior.abs() >= tau
+        } else {
+            estimate >= tau || posterior >= tau
         }
     }
 
@@ -521,71 +467,16 @@ impl AscsSketch {
         );
     }
 
-    /// The **pre-fusion** offer path, kept verbatim as the baseline the
-    /// throughput harness measures speedups against: three table passes per
-    /// accepted update (estimate → update → estimate), the `1/T` scaling as
-    /// a per-update division, phase and `τ(t − 1)` re-derived per update,
-    /// and the top-k tracker fed on *every* insert with a full fresh
-    /// point query.
-    ///
-    /// The accept decisions, the resulting sketch **table** and the tracker
-    /// contents match [`AscsSketch::offer`] exactly whenever `T` is a power
-    /// of two (then `x / T` and `x · (1/T)` round identically). The one
-    /// concession to the present codebase is
-    /// [`AscsSketch::without_tracking`], which this path honours so
-    /// tracker-free variants measure like for like.
-    pub fn offer_reference(&mut self, key: u64, x: f64, t: u64) -> OfferOutcome {
-        let phase = self.phase(t);
-        if !x.is_finite() {
-            // The reference path quarantines identically, so fused-vs-
-            // reference bit-identity holds on poisoned streams too.
-            self.quarantined += 1;
-            return OfferOutcome {
-                inserted: false,
-                phase,
-            };
-        }
-        let accept = match phase {
-            AscsPhase::Exploration => true,
-            AscsPhase::Sampling => {
-                let estimate = self.sketch.estimate(key);
-                let posterior = estimate + x / self.total as f64;
-                let tau = self.schedule.tau(t - 1);
-                if self.absolute_gate {
-                    estimate.abs() >= tau || posterior.abs() >= tau
-                } else {
-                    estimate >= tau || posterior >= tau
-                }
-            }
-        };
-        if accept {
-            self.sketch.update(key, x / self.total as f64);
-            self.inserted += 1;
-            if self.tracking_enabled {
-                let fresh = self.sketch.estimate(key);
-                self.track_offer(key, fresh);
-            }
-        } else {
-            self.skipped += 1;
-        }
-        OfferOutcome {
-            inserted: accept,
-            phase,
-        }
-    }
-
+    /// The offer for geometries beyond [`MAX_ROWS`] rows: per-row hashing
+    /// and full point queries (estimate → update → estimate), since the
+    /// fused kernel's stack buffers cap at `MAX_ROWS`.
     fn offer_unfused(&mut self, key: u64, x: f64, gate: SampleGate) -> OfferOutcome {
         let w = x * self.inv_total;
         let accept = match gate.phase {
             AscsPhase::Exploration => true,
             AscsPhase::Sampling => {
                 let estimate = self.sketch.estimate(key);
-                let posterior = estimate + w;
-                if self.absolute_gate {
-                    estimate.abs() >= gate.tau || posterior.abs() >= gate.tau
-                } else {
-                    estimate >= gate.tau || posterior >= gate.tau
-                }
+                self.clears(estimate, estimate + w, gate.tau)
             }
         };
         if accept {
@@ -897,42 +788,6 @@ mod tests {
         assert_eq!(a.memory_words(), 5 * 512);
     }
 
-    /// With a power-of-two stream length (`x / T` and `x · (1/T)` round
-    /// identically) the fused offer and the pre-fusion reference must make
-    /// the same accept decisions, build bit-identical tables and retain the
-    /// same tracker contents.
-    #[test]
-    fn fused_offer_matches_reference_bit_for_bit() {
-        let build = || {
-            AscsSketch::new(
-                SketchGeometry::new(5, 128),
-                &hyper(20, 0.4, 1e-3),
-                256,
-                16,
-                13,
-            )
-        };
-        let mut fused = build();
-        let mut reference = build();
-        for t in 1..=256u64 {
-            for key in 0..12u64 {
-                let x = ((key as f64) - 4.0) * 0.3 * (1.0 + (t % 7) as f64 * 0.1);
-                let a = fused.offer(key, x, t);
-                let b = reference.offer_reference(key, x, t);
-                assert_eq!(a, b, "outcome diverged at t={t}, key={key}");
-            }
-        }
-        let fa = fused.sketch().table();
-        let fb = reference.sketch().table();
-        assert!(
-            fa.iter().zip(fb).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "sketch tables diverged"
-        );
-        assert_eq!(fused.inserted_updates(), reference.inserted_updates());
-        assert_eq!(fused.skipped_updates(), reference.skipped_updates());
-        assert_eq!(fused.top_pairs(), reference.top_pairs());
-    }
-
     #[test]
     fn oversized_row_count_falls_back_to_the_unfused_path() {
         let geometry = SketchGeometry::new(17, 64); // beyond MAX_ROWS
@@ -1037,7 +892,7 @@ mod tests {
         let mut a = AscsSketch::new(geometry, &hyper(5, 0.3, 1e-3), 50, 8, 3);
         let plan = a.sketch().build_plan(8);
         for t in 1..=50 {
-            a.offer_planned_at(&plan, 7, 1.0, t);
+            a.offer_planned(&plan, 7, 1.0, a.sample_gate(t));
         }
         assert!((a.estimate(7) - 1.0).abs() < 0.05);
     }
@@ -1071,7 +926,7 @@ mod tests {
         let mut a = small_ascs(10, 100);
         let err = a.offer_checked(7, f64::NAN, 1).unwrap_err();
         match err {
-            crate::serve::IngestError::NonFinite { index, value } => {
+            IngestError::NonFinite { index, value } => {
                 assert_eq!(index, 7);
                 assert!(value.is_nan());
             }

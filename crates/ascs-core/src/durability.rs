@@ -3,8 +3,8 @@
 //! [`RecoveryManager`] that cold-starts a killed process from the data
 //! directory — with state proven bit-identical to an uninterrupted run.
 //!
-//! The design mirrors the in-memory recovery recipe of
-//! [`crate::supervisor`], lifted across process death:
+//! The design mirrors the in-memory recovery recipe of the serving
+//! supervisor (checkpoint plus replay log), lifted across process death:
 //!
 //! * **Write-ahead log** — every accepted sample is encoded as a
 //!   [`codec::TAG_WAL_RECORD`] payload and appended to the active segment
@@ -912,7 +912,7 @@ impl RecoveredState {
 }
 
 /// Everything recovery produced: the rebuilt state, the audit report, and
-/// (crate-internal) the bookkeeping a new [`DurableStore`] resumes from.
+/// (crate-internal) the bookkeeping the relaunched WAL store resumes from.
 pub struct RecoveryOutcome {
     /// The rebuilt serving state (fresh prototype state when the
     /// directory held nothing usable).
@@ -1121,12 +1121,10 @@ impl RecoveryManager {
                     report.wal_records_skipped += 1;
                     continue;
                 }
-                if t != epoch + 1
-                    || sample.dim() != config.dim
-                    || sample.first_non_finite().is_some()
-                {
-                    // A gap ends the contiguous durable prefix; anything
-                    // beyond it (even valid frames) must not be applied.
+                if t != epoch + 1 || sample.screen(config.dim).is_err() {
+                    // A gap or a record live ingest would have refused
+                    // ends the contiguous durable prefix; anything beyond
+                    // it (even valid frames) must not be applied.
                     report.wal_tail_discarded = true;
                     gap_at = Some(seq);
                     sealed.push(SealedSegment {
@@ -1442,6 +1440,59 @@ mod tests {
         assert_eq!(parse_manifest_name("ckpt-1.shard002"), None);
         assert_eq!(parse_shard_name("ckpt-1.manifest"), None);
         assert_eq!(parse_wal_name("notes.txt"), None);
+    }
+
+    /// A record live ingest would have refused — appended straight to the
+    /// WAL, bypassing the screen — ends the durable prefix like a gap:
+    /// recovery stops before it, without panicking.
+    #[test]
+    fn recovery_stops_before_a_malformed_wal_record() {
+        let config = AscsConfig {
+            dim: 16,
+            total_samples: 64,
+            geometry: crate::config::SketchGeometry::new(5, 256),
+            alpha: 0.05,
+            signal_strength: 0.5,
+            sigma: 1.0,
+            delta: 0.05,
+            delta_star: 0.20,
+            tau0: 1e-4,
+            estimand: crate::config::EstimandKind::Covariance,
+            update_mode: crate::config::UpdateMode::Product,
+            seed: 5,
+            top_k_capacity: 8,
+        };
+        let good = |t: u64| Sample::dense((0..16).map(|f| ((t + f) % 3) as f64 - 1.0).collect());
+        let malformed = [
+            Sample::sparse(16, vec![(3, 1.0), (16, 2.0)]),
+            Sample::sparse(16, vec![(3, 1.0), (3, 2.0)]),
+            Sample::dense(vec![0.5; 17]),
+        ];
+        for (case, bad) in malformed.iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("ascs-wal-malformed-{case}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let manager = RecoveryManager::new(&dir);
+            let fresh = manager.recover(&config, None, 2).unwrap();
+            let mut store = DurableStore::open(
+                Arc::new(codec::StdFs),
+                DurabilityOptions::new(&dir),
+                2,
+                fresh.bootstrap,
+            )
+            .unwrap();
+            for t in 1..=3 {
+                store.append_sample(t, &good(t)).unwrap();
+            }
+            store.append_sample(4, bad).unwrap();
+            store.append_sample(5, &good(5)).unwrap();
+            drop(store);
+            let outcome = manager.recover(&config, None, 2).unwrap();
+            assert_eq!(outcome.report.recovered_epoch, 3, "case {case}");
+            assert_eq!(outcome.state.epoch(), 3, "case {case}");
+            assert!(outcome.report.wal_tail_discarded, "case {case}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -219,8 +219,8 @@ pub struct CovarianceEstimator {
     /// point queries. See [`CovarianceEstimator::with_ingestion_plan`].
     plan: Option<HashPlan>,
     t: u64,
-    /// Samples rejected at the ingest boundary for carrying a non-finite
-    /// value. Diagnostic state only — not serialized (quarantined samples
+    /// Samples rejected at the ingest boundary by [`Sample::screen`].
+    /// Diagnostic state only — not serialized (quarantined samples
     /// never touched the estimator), so a resumed estimator restarts at 0.
     quarantined_samples: u64,
 }
@@ -512,7 +512,9 @@ impl CovarianceEstimator {
         }
     }
 
-    /// Samples rejected for carrying NaN/±inf. A quarantined sample
+    /// Samples rejected by [`Sample::screen`] — NaN/±inf values, or (via
+    /// [`CovarianceEstimator::try_process_sample`]) a shape that does not
+    /// fit the configured dimensionality. A quarantined sample
     /// changes *nothing*: no stream time, no feature moments, no sketch
     /// state — one poisoned coordinate would otherwise corrupt every
     /// bucket its pair updates hash into, unrecoverably.
@@ -520,19 +522,22 @@ impl CovarianceEstimator {
         self.quarantined_samples
     }
 
-    /// [`CovarianceEstimator::process_sample`] with the non-finite
-    /// quarantine surfaced as a typed error: the whole sample is screened
-    /// *before* any state is touched, so on `Err` the estimator is exactly
-    /// as it was (apart from the quarantine counter) and previously learned
-    /// estimates are unchanged.
+    /// [`CovarianceEstimator::process_sample`] with the quarantine
+    /// surfaced as a typed error: the whole sample is screened
+    /// ([`Sample::screen`]) *before* any state is touched, so on `Err` the
+    /// estimator is exactly as it was (apart from the quarantine counter)
+    /// and previously learned estimates are unchanged.
     ///
     /// # Errors
     /// [`IngestError::NonFinite`] with the offending feature index and
-    /// value when the sample carries NaN or ±inf.
+    /// value when the sample carries NaN or ±inf;
+    /// [`IngestError::DimensionMismatch`], [`IngestError::IndexOutOfRange`]
+    /// or [`IngestError::DuplicateIndex`] when its shape does not fit the
+    /// configured dimensionality.
     pub fn try_process_sample(&mut self, sample: &Sample) -> Result<u64, IngestError> {
-        if let Some((index, value)) = sample.first_non_finite() {
+        if let Err(e) = sample.screen(self.config.dim) {
             self.quarantined_samples += 1;
-            return Err(IngestError::NonFinite { index, value });
+            return Err(e);
         }
         Ok(self.ingest_sample(sample))
     }
@@ -542,12 +547,20 @@ impl CovarianceEstimator {
     /// 0 updates) — use [`CovarianceEstimator::try_process_sample`] to
     /// observe the rejection as a typed error instead.
     ///
+    /// # Panics
+    /// Panics if the sample's shape does not fit the configured
+    /// dimensionality (see [`Sample::screen`]).
+    ///
     /// The per-sample invariants — the sampling gate (`τ(t−1)`, phase) and
     /// the `1/T` scaling — are hoisted out of the `O(d²)` pair-update loop:
     /// they depend only on `t`, so they are computed once here rather than
     /// once per emitted pair.
     pub fn process_sample(&mut self, sample: &Sample) -> u64 {
-        self.try_process_sample(sample).unwrap_or(0)
+        match self.try_process_sample(sample) {
+            Ok(emitted) => emitted,
+            Err(IngestError::NonFinite { .. }) => 0,
+            Err(malformed) => panic!("malformed sample: {malformed}"),
+        }
     }
 
     /// The post-quarantine ingestion body shared by the checked and
@@ -584,11 +597,7 @@ impl CovarianceEstimator {
                     let gate = gate.expect("gate set for ASCS");
                     // Dense pair keys are their own plan slots, so the
                     // planned path needs no key → slot map.
-                    match plan {
-                        Some(plan) => a.offer_planned(plan, update.key, update.value, gate),
-                        None => a.offer_gated(update.key, update.value, gate),
-                    }
-                    .inserted
+                    a.offer_at(plan, update.key, update.value, gate).inserted
                 }
                 BackendState::Sharded { pending, .. } => {
                     // Deferred: the batch is flushed (in parallel) below.
@@ -1119,6 +1128,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "malformed sample")]
+    fn process_sample_panics_on_a_malformed_shape() {
+        let mut est = CovarianceEstimator::new(config(8, 100, 1000), SketchBackend::Ascs).unwrap();
+        est.process_sample(&Sample::sparse(8, vec![(3, 1.0), (3, 1.0)]));
+    }
+
+    #[test]
     fn ascs_backend_solves_hyperparameters() {
         let est = CovarianceEstimator::new(config(50, 2000, 2000), SketchBackend::Ascs).unwrap();
         let hp = est.hyperparameters().unwrap();
@@ -1431,9 +1447,10 @@ mod tests {
         }
     }
 
-    /// The headline NaN-regression: a poisoned sample arriving mid-stream
-    /// must leave every previously learned estimate bit-identical and the
-    /// estimator fully usable afterwards, on every backend.
+    /// The headline NaN-regression: a poisoned or malformed sample arriving
+    /// mid-stream must leave every previously learned estimate
+    /// bit-identical and the estimator fully usable afterwards, on every
+    /// backend.
     #[test]
     fn nan_mid_stream_is_quarantined_and_estimates_survive() {
         let dim = 20u64;
@@ -1481,7 +1498,27 @@ mod tests {
                 est.process_sample(&Sample::sparse(dim, vec![(1, f64::INFINITY)])),
                 0
             );
-            assert_eq!(est.quarantined_samples(), 2, "{backend:?}");
+            // Malformed shapes are typed rejections that touch nothing.
+            for (sample, expected) in [
+                (
+                    Sample::dense(vec![0.5; dim as usize + 1]),
+                    IngestError::DimensionMismatch {
+                        expected: dim,
+                        found: dim + 1,
+                    },
+                ),
+                (
+                    Sample::sparse(dim, vec![(1, 1.0), (dim as u32, 1.0)]),
+                    IngestError::IndexOutOfRange { index: dim, dim },
+                ),
+                (
+                    Sample::sparse(dim, vec![(4, 1.0), (1, 1.0), (4, 2.0)]),
+                    IngestError::DuplicateIndex { index: 4 },
+                ),
+            ] {
+                assert_eq!(est.try_process_sample(&sample), Err(expected));
+            }
+            assert_eq!(est.quarantined_samples(), 5, "{backend:?}");
             assert_eq!(est.processed_samples(), 150, "{backend:?}: t advanced");
             assert_eq!(est.update_counts(), counts, "{backend:?}");
             let after: Vec<u64> = est.all_estimates().iter().map(|v| v.to_bits()).collect();

@@ -13,10 +13,10 @@
 //! table ([`ServingEstimator::plan_eligible`]), the first worker to receive
 //! a batch builds it once, with a slot → shard byte table, and the hot path
 //! stops hashing: the producer routes each update with one byte load, and
-//! every worker (live batches and restart replays alike) applies its
-//! batches through [`AscsSketch::ingest_planned`]'s driver. Until the plan
-//! is ready, and for instances above the rule, both sides stay on the
-//! hashed path; the two paths give bit-identical state.
+//! every worker (live batches and restart replays alike) runs its batches
+//! through [`AscsSketch::ingest_batch`] on the plan. Until the plan is
+//! ready, and for instances above the rule, both sides stay on the hashed
+//! path through the same driver; the two give bit-identical state.
 //!
 //! Readers never touch worker state: they read the last *published*
 //! [`Snapshot`] — a merged table built via count-sketch linearity and
@@ -26,9 +26,11 @@
 //!
 //! Robustness is structural, not best-effort:
 //!
-//! * **Quarantine** — non-finite samples are rejected at the ingest
-//!   boundary with [`IngestError::NonFinite`] and a counter, before any
-//!   state (stream time, feature moments, queues) is touched.
+//! * **Quarantine** — malformed samples (wrong dimensionality, sparse
+//!   indices out of range or repeated, NaN/±inf values) are rejected at
+//!   the ingest boundary by [`Sample::screen`] with a typed [`IngestError`]
+//!   and a counter, before any state (stream time, feature moments, WAL,
+//!   queues) is touched.
 //! * **Supervision** — each worker loop runs under `catch_unwind`; a
 //!   supervisor thread restarts a panicked worker from its last good
 //!   in-memory checkpoint (the PR 5 codec) and replays the bounded batch
@@ -42,12 +44,14 @@
 //!   checkpoint and lets the replay log grow instead.
 //!
 //! Determinism contract: per-shard update order is preserved (bounded FIFO
-//! queues, a single producer), workers apply updates exactly like the
-//! [`ShardedAscs`] worker loop, and snapshots merge worker sketches in
+//! queues, a single producer), workers apply updates through the same
+//! batch driver as [`ShardedAscs`], and snapshots merge worker sketches in
 //! shard order — so a snapshot at epoch `t` is bit-identical to a
 //! sequential [`ShardedAscs`] replay of the first `t` samples with the
 //! same configuration, shard count and seed. The fault-injection tests
 //! pin this down, panics and torn checkpoints included.
+//!
+//! [`ShardedAscs`]: crate::sharded::ShardedAscs
 
 use crate::ascs::AscsSketch;
 use crate::config::AscsConfig;
@@ -77,8 +81,8 @@ use std::time::{Duration, Instant};
 
 /// Typed rejection at the ingest boundary. The failed call mutates
 /// *nothing* besides the corresponding diagnostic counter: the sample can
-/// be retried (for [`IngestError::Overloaded`]) or dropped (for
-/// [`IngestError::NonFinite`]) without the stream time advancing.
+/// be retried (for [`IngestError::Overloaded`]) or dropped (for the
+/// [`Sample::screen`] rejections) without the stream time advancing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestError {
     /// The sample (or update) carries a NaN or ±inf value and was
@@ -90,6 +94,27 @@ pub enum IngestError {
         index: u64,
         /// The offending value (NaN or ±inf).
         value: f64,
+    },
+    /// The sample's dimensionality — a dense sample's length, a sparse
+    /// sample's declared `dim` — is not the configured one.
+    DimensionMismatch {
+        /// The configured dimensionality.
+        expected: u64,
+        /// The sample's dimensionality.
+        found: u64,
+    },
+    /// A sparse sample names a feature index at or beyond the configured
+    /// dimensionality.
+    IndexOutOfRange {
+        /// The offending feature index.
+        index: u64,
+        /// The configured dimensionality.
+        dim: u64,
+    },
+    /// A sparse sample names the same feature index more than once.
+    DuplicateIndex {
+        /// The repeated feature index.
+        index: u64,
     },
     /// A shard's bounded queue has no room for another batch; retry after
     /// readers/workers drain, or treat as load shedding.
@@ -120,6 +145,21 @@ impl std::fmt::Display for IngestError {
         match self {
             IngestError::NonFinite { index, value } => {
                 write!(f, "non-finite value {value} at index {index} quarantined")
+            }
+            IngestError::DimensionMismatch { expected, found } => {
+                write!(
+                    f,
+                    "sample dimensionality {found} does not match the configured {expected}"
+                )
+            }
+            IngestError::IndexOutOfRange { index, dim } => {
+                write!(
+                    f,
+                    "sparse index {index} is out of range for dimensionality {dim}"
+                )
+            }
+            IngestError::DuplicateIndex { index } => {
+                write!(f, "sparse index {index} appears more than once")
             }
             IngestError::Overloaded { shard, capacity } => {
                 write!(f, "shard {shard} queue full ({capacity} batches)")
@@ -271,7 +311,7 @@ pub(crate) struct ServeShared {
 
 /// An immutable, epoch-stamped merged view of the whole serving state.
 /// Cheap to share (`Arc`), safe to read from any thread, and bit-identical
-/// to a sequential [`ShardedAscs`] replay of the first
+/// to a sequential [`ShardedAscs`](crate::sharded::ShardedAscs) replay of the first
 /// [`Snapshot::epoch`] samples.
 pub struct Snapshot {
     epoch: u64,
@@ -403,7 +443,7 @@ pub struct ServeStats {
     pub ingested_samples: u64,
     /// Pair updates emitted into the shard queues.
     pub emitted_updates: u64,
-    /// Samples rejected for non-finite values.
+    /// Samples rejected by [`Sample::screen`] (malformed or non-finite).
     pub quarantined_samples: u64,
     /// `Overloaded` rejections (including retries of the same sample).
     pub overload_rejections: u64,
@@ -439,7 +479,7 @@ pub struct ServingHealth {
     pub worker_panics: u64,
     /// Checkpoint writes rejected by validation.
     pub torn_checkpoints: u64,
-    /// Samples rejected for non-finite values.
+    /// Samples rejected by [`Sample::screen`] (malformed or non-finite).
     pub quarantined_samples: u64,
     /// `Overloaded` rejections (including retries of the same sample).
     pub overload_rejections: u64,
@@ -902,8 +942,11 @@ impl ServingEstimator {
     /// emitted.
     ///
     /// # Errors
-    /// * [`IngestError::NonFinite`] — the sample carries NaN/±inf and was
-    ///   quarantined; nothing else changed.
+    /// * [`IngestError::NonFinite`], [`IngestError::DimensionMismatch`],
+    ///   [`IngestError::IndexOutOfRange`], [`IngestError::DuplicateIndex`]
+    ///   — the sample failed [`Sample::screen`] against the configured
+    ///   dimensionality and was quarantined; nothing else changed, and a
+    ///   durable instance logged nothing.
     /// * [`IngestError::Overloaded`] — some shard queue is full; nothing
     ///   changed, retry later (or use
     ///   [`ServingEstimator::ingest_blocking`]). The check is
@@ -911,10 +954,6 @@ impl ServingEstimator {
     ///   partially enqueued.
     /// * [`IngestError::ShardFailed`] — a shard exhausted its restart
     ///   budget; this instance no longer accepts ingest.
-    ///
-    /// # Panics
-    /// Panics if the sample's dimensionality disagrees with the
-    /// configuration (same contract as the batch estimator).
     pub fn try_ingest(&mut self, sample: &Sample) -> Result<u64, IngestError> {
         if let Some(shard) = self
             .workers
@@ -923,9 +962,9 @@ impl ServingEstimator {
         {
             return Err(IngestError::ShardFailed { shard });
         }
-        if let Some((index, value)) = sample.first_non_finite() {
+        if let Err(e) = sample.screen(self.config.dim) {
             self.quarantined_samples += 1;
-            return Err(IngestError::NonFinite { index, value });
+            return Err(e);
         }
         // Conservative all-or-nothing backpressure: `&mut self` makes this
         // the only producer, and consumers only shrink the queues, so room
@@ -1045,7 +1084,8 @@ impl ServingEstimator {
     /// each worker replies with a clone of its sketch reflecting *exactly*
     /// the samples `1..=epoch` — the barrier rides the same FIFO as the
     /// data. Replies are merged in shard order (bit-identical to
-    /// [`ShardedAscs::merged_sketch`]) and swapped in atomically; readers
+    /// [`ShardedAscs::merged_sketch`](crate::sharded::ShardedAscs::merged_sketch))
+    /// and swapped in atomically; readers
     /// keep the previous snapshot until then. Blocks until every worker
     /// replies — through a recovery if one is in progress (that wait *is*
     /// the recovery-to-fresh-snapshot time the bench reports).
@@ -1271,7 +1311,8 @@ impl ServingEstimator {
     }
 }
 
-/// Merges worker replies exactly like [`ShardedAscs`]: tables fold in
+/// Merges worker replies exactly like
+/// [`ShardedAscs`](crate::sharded::ShardedAscs): tables fold in
 /// shard order, and the top list is the shard-ordered union of tracker
 /// keys re-scored against the merged table. A free function so the
 /// durable launch path can publish the recovered state before the

@@ -20,7 +20,7 @@
 //! gate decisions — and therefore the merged estimates — are identical to
 //! sequential ingestion; the equivalence tests pin both properties down.
 
-use crate::ascs::{AscsSketch, SampleGate};
+use crate::ascs::AscsSketch;
 use crate::config::SketchGeometry;
 use crate::hyper::HyperParameters;
 use ascs_count_sketch::codec::{self, CodecError};
@@ -200,43 +200,12 @@ impl ShardedAscs {
     /// per shard when the batch is large enough to amortise the spawns.
     ///
     /// The batch is routed once on the calling thread into per-shard
-    /// staging buffers; each worker then consumes only its own buffer. The
-    /// routing preserves batch order within a shard, so the result is
-    /// deterministic and independent of both the thread schedule and how
-    /// the stream was cut into batches.
+    /// staging buffers; each worker then runs its own buffer through
+    /// [`AscsSketch::ingest_batch`]. The routing preserves batch order
+    /// within a shard, so the result is deterministic and independent of
+    /// both the thread schedule and how the stream was cut into batches.
     pub fn offer_batch(&mut self, batch: &[ShardUpdate]) {
-        let shards = self.workers.len();
-        if shards == 1 || batch.len() < self.parallel_threshold {
-            for u in batch {
-                let shard = shard_for(u.key, self.router_salt, shards);
-                self.workers[shard].offer(u.key, u.value, u.t);
-            }
-            return;
-        }
-        for buf in &mut self.scratch {
-            buf.clear();
-        }
-        for u in batch {
-            self.scratch[shard_for(u.key, self.router_salt, shards)].push(*u);
-        }
-        std::thread::scope(|scope| {
-            for (worker, own) in self.workers.iter_mut().zip(self.scratch.iter()) {
-                scope.spawn(move || {
-                    // Consecutive updates overwhelmingly share a stream
-                    // time, so the per-sample gate invariants are computed
-                    // once per distinct `t`, not once per update.
-                    let mut gate_t = u64::MAX;
-                    let mut gate: Option<SampleGate> = None;
-                    for u in own {
-                        if gate_t != u.t {
-                            gate = Some(worker.sample_gate(u.t));
-                            gate_t = u.t;
-                        }
-                        worker.offer_gated(u.key, u.value, gate.expect("gate set above"));
-                    }
-                });
-            }
-        });
+        self.ingest_routed(None, batch);
     }
 
     /// Precomputes the slot → shard routing table for the plan slots
@@ -270,37 +239,47 @@ impl ShardedAscs {
     /// Panics if the plan does not match the workers' hash family, or if an
     /// update's key is outside the plan.
     pub fn offer_batch_planned(&mut self, plan: &HashPlan, batch: &[ShardUpdate]) {
-        // One up-front check covers both the sequential and the parallel
-        // path (per-update plan checks inside the workers are debug-only).
-        self.workers[0].sketch().verify_plan(plan);
-        self.build_slot_router(plan.len());
+        self.ingest_routed(Some(plan), batch);
+    }
+
+    /// The routing body behind both batch entry points: keys route by the
+    /// slot table with a plan and by hashing without one, and every worker
+    /// runs its share through the one batch driver.
+    fn ingest_routed(&mut self, plan: Option<&HashPlan>, batch: &[ShardUpdate]) {
         let shards = self.workers.len();
-        if shards == 1 || batch.len() < self.parallel_threshold {
-            // The gate depends only on `t` and the shared schedule, so one
-            // recomputation per distinct `t` covers every worker.
-            let mut gate_t = u64::MAX;
-            let mut gate: Option<SampleGate> = None;
-            for u in batch {
-                if gate_t != u.t {
-                    gate = Some(self.workers[0].sample_gate(u.t));
-                    gate_t = u.t;
-                }
-                let shard = usize::from(self.slot_router[u.key as usize]);
-                self.workers[shard].offer_planned(plan, u.key, u.value, gate.expect("gate set"));
-            }
+        if shards == 1 {
+            // Nothing to route: drive the caller's slice directly.
+            self.workers[0].ingest_batch(plan, batch);
             return;
+        }
+        if let Some(plan) = plan {
+            // Checked here, on the calling thread, so a foreign plan fails
+            // before any routing or worker spawn.
+            self.workers[0].sketch().verify_plan(plan);
+            self.build_slot_router(plan.len());
         }
         for buf in &mut self.scratch {
             buf.clear();
         }
         for u in batch {
-            self.scratch[usize::from(self.slot_router[u.key as usize])].push(*u);
+            let shard = match plan {
+                Some(_) => usize::from(self.slot_router[u.key as usize]),
+                None => shard_for(u.key, self.router_salt, shards),
+            };
+            self.scratch[shard].push(*u);
         }
-        std::thread::scope(|scope| {
-            for (worker, own) in self.workers.iter_mut().zip(self.scratch.iter()) {
-                scope.spawn(move || worker.ingest_planned(plan, own));
+        let work = self.workers.iter_mut().zip(&self.scratch);
+        if batch.len() < self.parallel_threshold {
+            for (worker, own) in work {
+                worker.ingest_batch(plan, own);
             }
-        });
+        } else {
+            std::thread::scope(|scope| {
+                for (worker, own) in work {
+                    scope.spawn(move || worker.ingest_batch(plan, own));
+                }
+            });
+        }
     }
 
     /// Merged point query: per row, the bucket contents of **all** workers

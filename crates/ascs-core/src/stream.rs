@@ -19,6 +19,7 @@
 
 use crate::config::{EstimandKind, UpdateMode};
 use crate::pair::PairIndexer;
+use crate::serve::IngestError;
 use ascs_count_sketch::codec::{self, CodecError};
 use ascs_numerics::RunningMoments;
 use serde::{Deserialize, Serialize};
@@ -99,6 +100,51 @@ impl Sample {
                 .iter()
                 .find(|&&(_, x)| !x.is_finite())
                 .map(|&(i, x)| (u64::from(i), x)),
+        }
+    }
+
+    /// Screens the sample against the configured dimensionality `dim`
+    /// before it may touch any state: a dense sample must hold exactly
+    /// `dim` values, a sparse one must declare `dim` and name each feature
+    /// index below it at most once, and every value must be finite. Every
+    /// ingest boundary (the estimator, serving, WAL replay) screens first,
+    /// so a malformed sample is a typed rejection instead of a panic inside
+    /// the pair expansion — and never reaches a write-ahead log that every
+    /// later recovery would replay into the same panic.
+    ///
+    /// # Errors
+    /// In the order checked: [`IngestError::DimensionMismatch`],
+    /// [`IngestError::IndexOutOfRange`], [`IngestError::DuplicateIndex`],
+    /// [`IngestError::NonFinite`].
+    pub fn screen(&self, dim: u64) -> Result<(), IngestError> {
+        if self.dim() != dim {
+            return Err(IngestError::DimensionMismatch {
+                expected: dim,
+                found: self.dim(),
+            });
+        }
+        if let Self::Sparse { entries, .. } = self {
+            if let Some(&(index, _)) = entries.iter().find(|&&(i, _)| u64::from(i) >= dim) {
+                return Err(IngestError::IndexOutOfRange {
+                    index: u64::from(index),
+                    dim,
+                });
+            }
+            // Generators emit sorted indices, so the usual sample costs one
+            // pass; only an unsorted one pays for a sorted copy.
+            if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+                let mut indices: Vec<u32> = entries.iter().map(|&(i, _)| i).collect();
+                indices.sort_unstable();
+                if let Some(w) = indices.windows(2).find(|w| w[0] == w[1]) {
+                    return Err(IngestError::DuplicateIndex {
+                        index: u64::from(w[0]),
+                    });
+                }
+            }
+        }
+        match self.first_non_finite() {
+            Some((index, value)) => Err(IngestError::NonFinite { index, value }),
+            None => Ok(()),
         }
     }
 
@@ -491,6 +537,47 @@ mod tests {
         assert_eq!(s.value(7), -2.0);
         assert_eq!(s.value(2), 0.0);
         assert_eq!(s.nonzeros(), vec![(1, 1.0), (7, -2.0)]);
+    }
+
+    #[test]
+    fn screen_types_every_malformed_shape() {
+        assert_eq!(dense(&[1.0, 2.0, 3.0]).screen(3), Ok(()));
+        // Unsorted but distinct, in-range sparse indices are well formed.
+        assert_eq!(
+            Sample::sparse(8, vec![(5, 1.0), (2, 0.5)]).screen(8),
+            Ok(())
+        );
+        let cases = [
+            (
+                dense(&[1.0, 2.0, 3.0, 4.0]),
+                IngestError::DimensionMismatch {
+                    expected: 3,
+                    found: 4,
+                },
+            ),
+            (
+                Sample::sparse(4, vec![(1, 1.0)]),
+                IngestError::DimensionMismatch {
+                    expected: 3,
+                    found: 4,
+                },
+            ),
+            (
+                Sample::sparse(3, vec![(1, 1.0), (3, 1.0)]),
+                IngestError::IndexOutOfRange { index: 3, dim: 3 },
+            ),
+            (
+                Sample::sparse(3, vec![(2, 1.0), (0, 1.0), (2, 2.0)]),
+                IngestError::DuplicateIndex { index: 2 },
+            ),
+        ];
+        for (sample, expected) in cases {
+            assert_eq!(sample.screen(3), Err(expected), "{sample:?}");
+        }
+        match dense(&[1.0, f64::NAN, 3.0]).screen(3) {
+            Err(IngestError::NonFinite { index: 1, value }) => assert!(value.is_nan()),
+            other => panic!("expected NonFinite, got {other:?}"),
+        }
     }
 
     #[test]

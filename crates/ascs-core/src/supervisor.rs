@@ -203,45 +203,26 @@ impl PlanCell {
     }
 }
 
-/// Applies one batch in order, with optional fault injection (first
-/// delivery only; `base` is the shard-local index of the batch's first
-/// update, and the injector is asked before every update). With a plan
-/// the batch runs through [`AscsSketch::ingest_planned`]'s driver;
-/// without one, through the hashed offer. Either way the gate is memoized
-/// per distinct `t`, exactly like the [`crate::sharded::ShardedAscs`]
-/// worker loops, so gated results are bit-identical to sequential
-/// ingestion.
+/// Applies one batch through [`AscsSketch::ingest_batch`]'s driver — on
+/// the plan when one is given, hashed otherwise — with optional fault
+/// injection (first delivery only; `base` is the shard-local index of the
+/// batch's first update, and the injector is asked before every update).
+/// The driver memoizes the gate per distinct `t`, so gated results are
+/// bit-identical to sequential ingestion.
 pub(crate) fn apply_batch(
     sketch: &mut AscsSketch,
     batch: &[ShardUpdate],
     plan: Option<&HashPlan>,
     inject: Option<(&dyn FaultInjector, usize, u64)>,
 ) {
-    let check = |i: usize| {
+    sketch.ingest_batch_with(plan, batch, |i| {
         if let Some((injector, shard, base)) = inject {
             let index = base + i as u64;
             if injector.inject_panic(shard, index) {
                 panic!("injected fault: shard {shard} update {index}");
             }
         }
-    };
-    if let Some(plan) = plan {
-        sketch.ingest_planned_with(plan, batch, check);
-        return;
-    }
-    let mut memo: Option<(u64, crate::ascs::SampleGate)> = None;
-    for (i, u) in batch.iter().enumerate() {
-        check(i);
-        let gate = match memo {
-            Some((t, gate)) if t == u.t => gate,
-            _ => {
-                let gate = sketch.sample_gate(u.t);
-                memo = Some((u.t, gate));
-                gate
-            }
-        };
-        sketch.offer_gated(u.key, u.value, gate);
-    }
+    });
 }
 
 /// Decrements the shared `recovering` gauge exactly once — on the normal

@@ -4,9 +4,12 @@
 //! fired at least once across the sweep.
 //!
 //! Modes:
-//!   --smoke        64 consecutive seeds (CI gate, ~seconds)
-//!   --soak [N]     N seeds, default 2048 (nightly)
-//!   --seed N       one schedule, verbose (reproduce a failure)
+//!
+//! ```text
+//! --smoke        64 consecutive seeds (CI gate, ~seconds)
+//! --soak [N]     N seeds, default 2048 (nightly)
+//! --seed N       one schedule, verbose (reproduce a failure)
+//! ```
 //!
 //! Writes `BENCH_chaos.json` at the repo root with
 //! `chaos_invariants_asserted` and the fault-site coverage map; CI greps

@@ -1,5 +1,5 @@
-//! Ingestion throughput harness: updates/sec for the plan-driven and fused
-//! hash-once hot paths vs the pre-PR ingestion path, shard behaviour of the
+//! Ingestion throughput harness: updates/sec for the hashed and the
+//! plan-driven runs of the one ASCS batch driver, shard behaviour of the
 //! parallel ingestion layer, and the whole-universe query sweep.
 //!
 //! Workload: the dense simulation of Sections 6.2/7.3 — every sample of a
@@ -8,22 +8,19 @@
 //! is expanded into a flat update vector **once**, so every measured number
 //! is pure sketch-ingestion time.
 //!
-//! The `*_baseline` variants run [`PrePrAscs`], a verbatim replica of the
-//! ingestion path as it existed before the fused-offer change: three table
-//! passes per accepted update (estimate → update → estimate), `1/T` applied
-//! as a per-update division, phase and `τ(t−1)` re-derived per update, and
-//! a SipHash-backed top-k tracker fed a full fresh point query on every
-//! insert. The unsuffixed variants run the PR 2 fused
-//! [`AscsSketch::offer_gated`] path (one hashing round per update); the
-//! `*_planned` variants run the ingestion-plan path
-//! ([`AscsSketch::ingest_planned`]), which replays a precomputed
-//! [`HashPlan`] arena instead of hashing at all — the plan is built once
-//! (its cost is reported separately as `plan_build_seconds`) and reused by
-//! every repetition, exactly as the estimator reuses it across samples.
-//! Stream lengths are powers of two so `x / T` and `x · (1/T)` round
-//! identically and the harness can assert that all three paths build
-//! **bit-identical sketch tables** before reporting any number (the JSON
-//! records `bit_identity_asserted`, which CI checks).
+//! The unsuffixed variants run [`AscsSketch::ingest_batch`] hashed (one
+//! hashing round per update); the `*_planned` variants run the same driver
+//! over a precomputed [`HashPlan`](ascs_count_sketch::HashPlan)
+//! ([`AscsSketch::ingest_planned`]), which replays the plan's arena
+//! instead of hashing at all — the plan is built once (its cost is
+//! reported separately as `plan_build_seconds`) and reused by every
+//! repetition, exactly as the estimator reuses it across samples.
+//!
+//! Before any number is reported, every variant's sketch table, gate
+//! counters and (where tracked) tracker contents are asserted
+//! bit-identical to [`NaiveOracle`], the testkit's naive estimate → update
+//! → estimate reference (the JSON records `bit_identity_asserted`, which
+//! CI checks).
 //!
 //! The query-sweep section measures the other half of the plan subsystem:
 //! `p` point queries (`CovarianceEstimator::all_estimates` before this PR)
@@ -40,149 +37,18 @@
 //! rows measure the (small) coordination overhead, not the scaling.
 
 use ascs_core::{
-    AscsSketch, EstimandKind, HyperParameters, SampleGate, ShardUpdate, ShardedAscs,
-    SketchGeometry, StreamContext, ThresholdSchedule, UpdateMode,
+    AscsSketch, EstimandKind, HyperParameters, ShardUpdate, ShardedAscs, SketchGeometry,
+    StreamContext, UpdateMode,
 };
-use ascs_count_sketch::{CountSketch, HashPlan};
+use ascs_count_sketch::CountSketch;
 use ascs_datasets::{SimulatedDataset, SimulationSpec};
-use std::collections::HashMap;
+use ascs_testkit::NaiveOracle;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Where the JSON trajectory lands: the repository root, independent of the
 /// invocation directory.
 const OUTPUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-
-// ---------------------------------------------------------------------------
-// Pre-PR replica: the ingestion path exactly as the seed had it.
-// ---------------------------------------------------------------------------
-
-/// The seed's median reduction: an insertion sort (the branchless median
-/// networks are part of the post-PR fast path and must not leak into the
-/// baseline).
-fn pre_pr_median(rows: &mut [f64]) -> f64 {
-    for i in 1..rows.len() {
-        let mut j = i;
-        while j > 0 && rows[j - 1] > rows[j] {
-            rows.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-    let n = rows.len();
-    if n % 2 == 1 {
-        rows[n / 2]
-    } else {
-        0.5 * (rows[n / 2 - 1] + rows[n / 2])
-    }
-}
-
-/// The seed's point query: per-row hash + signed read, insertion-sort
-/// median. (`CountSketch::row_estimate` is unchanged since the seed, so the
-/// hashing and reads are the genuine pre-PR article.)
-fn pre_pr_estimate(cs: &CountSketch, key: u64) -> f64 {
-    let mut buf = [0.0f64; 16];
-    let rows = cs.rows();
-    for (row, slot) in buf.iter_mut().enumerate().take(rows) {
-        *slot = cs.row_estimate(row, key);
-    }
-    pre_pr_median(&mut buf[..rows])
-}
-
-/// The seed's `TopKTracker`: a SipHash `HashMap` (std default hasher) with
-/// the admission-bar fast path.
-struct PrePrTracker {
-    capacity: usize,
-    entries: HashMap<u64, f64>,
-    admission_bar: f64,
-}
-
-impl PrePrTracker {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: HashMap::with_capacity(capacity + 1),
-            admission_bar: f64::NEG_INFINITY,
-        }
-    }
-
-    fn offer(&mut self, key: u64, estimate: f64) {
-        if estimate.is_nan() {
-            return;
-        }
-        if self.entries.len() >= self.capacity
-            && estimate < self.admission_bar
-            && !self.entries.contains_key(&key)
-        {
-            return;
-        }
-        self.entries.insert(key, estimate);
-        if self.entries.len() > self.capacity {
-            if let Some((&evict_key, _)) = self.entries.iter().min_by(|a, b| a.1.total_cmp(b.1)) {
-                self.entries.remove(&evict_key);
-            }
-            self.admission_bar = self.entries.values().copied().fold(f64::INFINITY, f64::min);
-        }
-    }
-}
-
-/// The seed's `AscsSketch::offer`, reproduced verbatim: this is the
-/// pre-PR baseline every speedup in `BENCH_ingest.json` is measured
-/// against. Gate decisions and table contents match the fused path bit for
-/// bit when `T` is a power of two; only the tracker policy differs (the
-/// seed fed it on every insert).
-struct PrePrAscs {
-    sketch: CountSketch,
-    schedule: ThresholdSchedule,
-    t0: u64,
-    total: u64,
-    tracker: PrePrTracker,
-    inserted: u64,
-    skipped: u64,
-}
-
-impl PrePrAscs {
-    fn new(
-        geometry: SketchGeometry,
-        hyper: &HyperParameters,
-        total: u64,
-        top_k_capacity: usize,
-        seed: u64,
-    ) -> Self {
-        Self {
-            sketch: CountSketch::new(geometry.rows, geometry.range, seed),
-            schedule: ThresholdSchedule::linear(hyper.tau0, hyper.theta, hyper.t0, total),
-            t0: hyper.t0,
-            total,
-            tracker: PrePrTracker::new(top_k_capacity),
-            inserted: 0,
-            skipped: 0,
-        }
-    }
-
-    fn offer(&mut self, key: u64, x: f64, t: u64) {
-        let exploration = t <= self.t0;
-        let accept = if exploration {
-            true
-        } else {
-            let estimate = pre_pr_estimate(&self.sketch, key);
-            let posterior = estimate + x / self.total as f64;
-            let tau = self.schedule.tau(t - 1);
-            estimate.abs() >= tau || posterior.abs() >= tau
-        };
-        if accept {
-            self.sketch.update(key, x / self.total as f64);
-            self.inserted += 1;
-            let fresh = pre_pr_estimate(&self.sketch, key);
-            self.tracker.offer(key, fresh.abs());
-        } else {
-            self.skipped += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Harness
-// ---------------------------------------------------------------------------
 
 struct Measurement {
     name: &'static str,
@@ -239,46 +105,36 @@ fn time_best<S>(
     (best, state)
 }
 
-/// The estimator-style hot loop: gate invariants recomputed only when the
-/// stream time changes, fused offer per update.
-fn ingest_fused(sketch: &mut AscsSketch, updates: &[ShardUpdate]) {
-    let mut gate_t = u64::MAX;
-    let mut gate: Option<SampleGate> = None;
-    for u in updates {
-        if u.t != gate_t {
-            gate = Some(sketch.sample_gate(u.t));
-            gate_t = u.t;
-        }
-        sketch.offer_gated(u.key, u.value, gate.expect("gate set above"));
-    }
-}
-
-fn ingest_baseline(sketch: &mut PrePrAscs, updates: &[ShardUpdate]) {
-    for u in updates {
-        sketch.offer(u.key, u.value, u.t);
-    }
-}
-
-/// The plan-driven hot loop: no hashing at all — every update replays its
-/// precomputed arena entry, with look-ahead prefetch of upcoming buckets.
-fn ingest_planned(sketch: &mut AscsSketch, plan: &HashPlan, updates: &[ShardUpdate]) {
-    sketch.ingest_planned(plan, updates);
-}
-
-fn assert_tables_identical(fused: &AscsSketch, baseline: &CountSketch, what: &str) {
-    let ta = fused.sketch().table();
-    let tb = baseline.table();
+/// Asserts that `sketch` holds exactly the reference's state: the table
+/// bit for bit, the gate counters, and — for tracked variants — the
+/// tracker contents.
+fn assert_matches_reference(
+    sketch: &AscsSketch,
+    reference: &NaiveOracle,
+    tracked: bool,
+    what: &str,
+) {
+    let (ta, tb) = (sketch.sketch().table(), reference.sketch.table());
     assert!(
         ta.iter().zip(tb).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "{what}: fused and baseline sketch tables diverged"
+        "{what}: sketch table diverged from the reference"
     );
+    assert_eq!(
+        (sketch.inserted_updates(), sketch.skipped_updates()),
+        (reference.inserted, reference.skipped),
+        "{what}: gate decisions diverged from the reference"
+    );
+    if tracked {
+        assert_eq!(
+            sketch.top_pairs(),
+            reference.tracker.descending(),
+            "{what}: tracker contents diverged from the reference"
+        );
+    }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // Stream lengths are powers of two so the baseline's `x / T` and the
-    // fused path's `x · (1/T)` round identically and the cross-checks can
-    // demand bit-identical tables.
     let (dim, n_samples, range, reps) = if smoke {
         (60u64, 64usize, 4096usize, 2usize)
     } else {
@@ -336,98 +192,73 @@ fn main() {
         plan.arena_bytes() as f64 / 1024.0
     );
 
-    // --- raw sketch write path (tracker disabled) — no pre-PR counterpart,
-    // reported for the ingestion-floor trajectory.
-    let (secs, _) = time_best(
+    // The reference every variant below must reproduce bit for bit.
+    let reference = |hp: &HyperParameters| {
+        let mut oracle = NaiveOracle::new(geometry, hp, total, top_k, 42);
+        for u in &updates {
+            oracle.offer(u.key, u.value, u.t);
+        }
+        oracle
+    };
+    let vanilla_reference = reference(&vanilla);
+    let gated_reference = reference(&gated);
+
+    // --- raw sketch write path (tracker disabled), for the ingestion-floor
+    // trajectory.
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::vanilla(geometry, total, top_k, 42).without_tracking(),
-        |s| ingest_fused(s, &updates),
+        |s| s.ingest_batch(None, &updates),
     );
     push("cs_ingest_only", secs);
-    let (secs, _) = time_best(
+    assert_matches_reference(&state, &vanilla_reference, false, "cs_ingest_only");
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::vanilla(geometry, total, top_k, 42).without_tracking(),
-        |s| ingest_planned(s, &plan, &updates),
+        |s| s.ingest_planned(&plan, &updates),
     );
     push("cs_ingest_only_planned", secs);
+    assert_matches_reference(&state, &vanilla_reference, false, "cs_ingest_only_planned");
 
     // --- vanilla CS (every update accepted, tracker fed).
-    let (secs, fused_state) = time_best(
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::vanilla(geometry, total, top_k, 42),
-        |s| ingest_fused(s, &updates),
+        |s| s.ingest_batch(None, &updates),
     );
     push("vanilla_cs", secs);
-    let (secs, base_state) = time_best(
-        reps,
-        || PrePrAscs::new(geometry, &vanilla, total, top_k, 42),
-        |s| ingest_baseline(s, &updates),
-    );
-    push("vanilla_cs_baseline", secs);
-    assert_tables_identical(&fused_state, &base_state.sketch, "vanilla_cs");
-    let (secs, planned_state) = time_best(
+    assert_matches_reference(&state, &vanilla_reference, true, "vanilla_cs");
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::vanilla(geometry, total, top_k, 42),
-        |s| ingest_planned(s, &plan, &updates),
+        |s| s.ingest_planned(&plan, &updates),
     );
     push("vanilla_cs_planned", secs);
-    assert_tables_identical(&planned_state, fused_state.sketch(), "vanilla_cs_planned");
+    assert_matches_reference(&state, &vanilla_reference, true, "vanilla_cs_planned");
 
     // --- ASCS gated: the paper's algorithm, the single hottest path.
-    let (secs, fused_state) = time_best(
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::new(geometry, &gated, total, top_k, 42),
-        |s| ingest_fused(s, &updates),
+        |s| s.ingest_batch(None, &updates),
     );
     push("ascs_gated", secs);
     let gated_fused_ups = count as f64 / secs;
-    let (secs, base_state) = time_best(
-        reps,
-        || PrePrAscs::new(geometry, &gated, total, top_k, 42),
-        |s| ingest_baseline(s, &updates),
-    );
-    push("ascs_gated_baseline", secs);
-    let gated_baseline_ups = count as f64 / secs;
-    assert_tables_identical(&fused_state, &base_state.sketch, "ascs_gated");
-    assert_eq!(
-        (
-            fused_state.inserted_updates(),
-            fused_state.skipped_updates()
-        ),
-        (base_state.inserted, base_state.skipped),
-        "ascs_gated: gate decisions diverged"
-    );
+    assert_matches_reference(&state, &gated_reference, true, "ascs_gated");
 
-    // --- ASCS gated, plan-driven: the tentpole path — no hashing at all.
-    let (secs, planned_state) = time_best(
+    // --- ASCS gated, plan-driven: no hashing at all.
+    let (secs, state) = time_best(
         reps,
         || AscsSketch::new(geometry, &gated, total, top_k, 42),
-        |s| ingest_planned(s, &plan, &updates),
+        |s| s.ingest_planned(&plan, &updates),
     );
     push("ascs_gated_planned", secs);
     let gated_planned_ups = count as f64 / secs;
-    assert_tables_identical(&planned_state, fused_state.sketch(), "ascs_gated_planned");
-    assert_eq!(
-        (
-            planned_state.inserted_updates(),
-            planned_state.skipped_updates()
-        ),
-        (
-            fused_state.inserted_updates(),
-            fused_state.skipped_updates()
-        ),
-        "ascs_gated_planned: gate decisions diverged"
+    assert_matches_reference(&state, &gated_reference, true, "ascs_gated_planned");
+    eprintln!(
+        "gate engagement: {} inserted, {} skipped",
+        gated_reference.inserted, gated_reference.skipped
     );
-    assert_eq!(
-        planned_state.top_pairs(),
-        fused_state.top_pairs(),
-        "ascs_gated_planned: tracker contents diverged"
-    );
-    let (inserted, skipped) = (
-        fused_state.inserted_updates(),
-        fused_state.skipped_updates(),
-    );
-    eprintln!("gate engagement: {inserted} inserted, {skipped} skipped");
 
     // --- sharded gated ingestion at 1/2/4 shards, batched per chunk.
     let chunk = 65_536usize;
@@ -445,8 +276,8 @@ fn main() {
             count as u64
         );
         if shards == 1 {
-            // A single shard is sequential gated ingestion: identical table.
-            assert_tables_identical(&fused_state, state.workers()[0].sketch(), "sharded_1");
+            // A single shard is sequential gated ingestion.
+            assert_matches_reference(&state.workers()[0], &gated_reference, true, "sharded_1");
         }
         let name: &'static str = match shards {
             1 => "sharded_1",
@@ -524,17 +355,11 @@ fn main() {
             }
         );
     }
-    let speedup = gated_fused_ups / gated_baseline_ups;
     let planned_speedup = gated_planned_ups / gated_fused_ups;
     println!(
-        "\nheadline (ascs_gated): pre-PR {gated_baseline_ups:.0} → fused {gated_fused_ups:.0} \
-         updates/sec ({speedup:.2}x single-thread)"
-    );
-    println!(
-        "headline (ascs_gated_planned): fused {gated_fused_ups:.0} → planned \
-         {gated_planned_ups:.0} updates/sec ({planned_speedup:.2}x over the PR 2 fused path, \
-         {:.2}x over pre-PR; plan built once in {plan_build_seconds:.4}s)",
-        gated_planned_ups / gated_baseline_ups
+        "headline (ascs_gated_planned): hashed {gated_fused_ups:.0} → planned \
+         {gated_planned_ups:.0} updates/sec ({planned_speedup:.2}x; plan built once in \
+         {plan_build_seconds:.4}s)"
     );
     println!(
         "query sweep (d = {query_dim}, p = {query_pairs}): point loop {:.0} → blocked \
@@ -579,17 +404,8 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"headline\": {{\"workload\": \"ascs_gated dense-simulation\", \"baseline_updates_per_sec\": {:.0}, \"fused_updates_per_sec\": {:.0}, \"speedup\": {:.3}}},",
-        gated_baseline_ups, gated_fused_ups, speedup
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline_planned\": {{\"workload\": \"ascs_gated_planned dense-simulation\", \"fused_updates_per_sec\": {:.0}, \"planned_updates_per_sec\": {:.0}, \"speedup_over_fused\": {:.3}, \"speedup_over_pre_pr\": {:.3}, \"plan_build_seconds\": {:.6}}},",
-        gated_fused_ups,
-        gated_planned_ups,
-        planned_speedup,
-        gated_planned_ups / gated_baseline_ups,
-        plan_build_seconds
+        "  \"headline_planned\": {{\"workload\": \"ascs_gated_planned dense-simulation\", \"fused_updates_per_sec\": {:.0}, \"planned_updates_per_sec\": {:.0}, \"speedup_over_fused\": {:.3}, \"plan_build_seconds\": {:.6}}},",
+        gated_fused_ups, gated_planned_ups, planned_speedup, plan_build_seconds
     );
     let _ = writeln!(
         json,
@@ -600,8 +416,9 @@ fn main() {
         query_plan_build_seconds
     );
     // Every reported number above sits behind the bit-identity assertions
-    // (planned vs fused vs pre-PR tables, planned vs point-query sweeps);
-    // reaching this line means they all held. CI greps for this flag.
+    // (every variant against the reference, planned vs point-query
+    // sweeps); reaching this line means they all held. CI greps for this
+    // flag.
     let _ = writeln!(json, "  \"bit_identity_asserted\": true,");
     let shard_json: Vec<String> = shard_results
         .iter()
@@ -618,9 +435,6 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {OUTPUT_PATH}: {e}"),
     }
 
-    if speedup < 1.5 {
-        eprintln!("warning: fused speedup {speedup:.2}x below the 1.5x target on this machine/run");
-    }
     if planned_speedup < 1.3 {
         eprintln!(
             "warning: planned speedup {planned_speedup:.2}x below the 1.3x target on this \

@@ -139,14 +139,36 @@ impl CountSketch {
     /// [`CountSketch::estimate`] is taken over.
     #[inline]
     pub fn row_values_at(&self, locs: &RowLocations, buf: &mut [f64; MAX_ROWS]) -> usize {
-        let mask = locs.sign_mask();
+        self.row_values_at_buckets(locs.buckets(), locs.sign_mask(), buf)
+    }
+
+    /// The one signed per-row read behind [`CountSketch::row_values_at`]
+    /// and [`CountSketch::row_values_planned`]: `buf[e]` becomes
+    /// `W[e, buckets[e]] · s_e`, where bit `e` of `sign_mask` set means
+    /// `s_e = −1`. Returns the number of rows written.
+    ///
+    /// # Panics
+    /// Panics if more than [`MAX_ROWS`] buckets are given — the stack
+    /// buffer caps there.
+    #[inline]
+    pub fn row_values_at_buckets(
+        &self,
+        buckets: &[u32],
+        sign_mask: u32,
+        buf: &mut [f64; MAX_ROWS],
+    ) -> usize {
+        assert!(
+            buckets.len() <= MAX_ROWS,
+            "row reads support at most {MAX_ROWS} rows, got {}",
+            buckets.len()
+        );
         let mut base = 0usize;
-        for ((row, slot), &bucket) in buf.iter_mut().enumerate().zip(locs.buckets()) {
-            let sign = ascs_sketch_hash::sign_from_bit(u64::from(mask >> row) & 1);
-            *slot = self.table[base + bucket as usize] * sign;
+        for ((row, out), &bucket) in buf.iter_mut().enumerate().zip(buckets) {
+            let sign = ascs_sketch_hash::sign_from_bit(u64::from(sign_mask >> row) & 1);
+            *out = self.table[base + bucket as usize] * sign;
             base += self.range;
         }
-        locs.len()
+        buckets.len()
     }
 
     /// Point query at precomputed locations (no hashing). Identical to
@@ -162,10 +184,18 @@ impl CountSketch {
     /// [`CountSketch::update`] of the key the locations were derived from.
     #[inline]
     pub fn update_at(&mut self, locs: &RowLocations, weight: f64) {
-        let mask = locs.sign_mask();
+        self.update_at_buckets(locs.buckets(), locs.sign_mask(), weight);
+    }
+
+    /// The one signed write behind [`CountSketch::update_at`] and
+    /// [`CountSketch::update_planned`]: adds `weight · s_e` to
+    /// `W[e, buckets[e]]` for every row `e`, where bit `e` of `sign_mask`
+    /// set means `s_e = −1`.
+    #[inline]
+    pub fn update_at_buckets(&mut self, buckets: &[u32], sign_mask: u32, weight: f64) {
         let mut base = 0usize;
-        for (row, &bucket) in locs.buckets().iter().enumerate() {
-            let sign = ascs_sketch_hash::sign_from_bit(u64::from(mask >> row) & 1);
+        for (row, &bucket) in buckets.iter().enumerate() {
+            let sign = ascs_sketch_hash::sign_from_bit(u64::from(sign_mask >> row) & 1);
             self.table[base + bucket as usize] += weight * sign;
             base += self.range;
         }
@@ -202,13 +232,7 @@ impl CountSketch {
     pub fn update_planned(&mut self, plan: &HashPlan, slot: usize, weight: f64) {
         debug_assert!(plan.matches(&self.family));
         let (buckets, mask) = plan.entry(slot);
-        let mut base = 0usize;
-        for (row, &bucket) in buckets.iter().enumerate() {
-            let sign = ascs_sketch_hash::sign_from_bit(u64::from(mask >> row) & 1);
-            self.table[base + bucket as usize] += weight * sign;
-            base += self.range;
-        }
-        self.updates += 1;
+        self.update_at_buckets(buckets, mask, weight);
     }
 
     /// Reads the signed per-row estimates at a plan slot into `buf` (no
@@ -229,18 +253,7 @@ impl CountSketch {
     ) -> usize {
         debug_assert!(plan.matches(&self.family));
         let (buckets, mask) = plan.entry(slot);
-        assert!(
-            buckets.len() <= MAX_ROWS,
-            "row_values_planned supports at most {MAX_ROWS} rows, plan has {}",
-            buckets.len()
-        );
-        let mut base = 0usize;
-        for ((row, out), &bucket) in buf.iter_mut().enumerate().zip(buckets) {
-            let sign = ascs_sketch_hash::sign_from_bit(u64::from(mask >> row) & 1);
-            *out = self.table[base + bucket as usize] * sign;
-            base += self.range;
-        }
-        buckets.len()
+        self.row_values_at_buckets(buckets, mask, buf)
     }
 
     /// Point query at a plan slot (no hashing). Identical to

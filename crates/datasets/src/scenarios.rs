@@ -13,7 +13,7 @@
 //! the sketch hash family).
 //!
 //! Every generator derives its per-sample RNG through
-//! [`derive_sample_seed`](crate::stream_util::derive_sample_seed), so
+//! [`derive_sample_seed`], so
 //! `sample_at` is a pure function of `(seed, index)` and streams can be
 //! generated out of order, in parallel, and replayed from any offset.
 

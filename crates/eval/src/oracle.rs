@@ -1,6 +1,6 @@
 //! Streaming exact-covariance oracle with checkpoint snapshots.
 //!
-//! [`ExactMatrix`](crate::ExactMatrix) computes ground truth from a finished
+//! [`crate::ExactMatrix`] computes ground truth from a finished
 //! sample collection; drift scenarios need ground truth **per phase**, i.e.
 //! the exact cumulative matrix at several stream times. Recomputing the
 //! matrix from scratch at every checkpoint costs `O(checkpoints · n · d²)`;

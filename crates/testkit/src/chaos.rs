@@ -30,7 +30,7 @@
 //!
 //! Violations surface as a typed [`Violation`] carrying the chaos seed,
 //! so every failure message names the seed that reproduces it. The
-//! [`crate::shrink`] module minimises a violating schedule greedily.
+//! [`crate::shrink`](mod@crate::shrink) module minimises a violating schedule greedily.
 //!
 //! [`ServingEstimator::simulate_crash`]: ascs_core::serve::ServingEstimator::simulate_crash
 //! [`recover_with_reentry`]: ascs_core::recover_with_reentry

@@ -32,8 +32,11 @@
 //!   live serving traffic with concurrent snapshot readers, while a
 //!   standing invariant oracle checks bit-identity, epoch monotonicity,
 //!   durability floors and counter coherence after every event.
-//! * [`shrink`] — greedy minimisation of a violating chaos schedule down
+//! * [`shrink`](mod@shrink) — greedy minimisation of a violating chaos schedule down
 //!   to a minimal reproducing fault set.
+//! * [`reference`](mod@reference) — [`NaiveOracle`], the estimate → gate → update →
+//!   estimate reference every fused ingestion path is checked against bit
+//!   for bit.
 //!
 //! Everything is deterministic from committed seeds: the tier-1 quick
 //! profile (`tests/bound_conformance.rs`) must pass bit-for-bit on every
@@ -46,6 +49,7 @@ pub mod adversarial;
 pub mod chaos;
 pub mod fault;
 pub mod harness;
+pub mod reference;
 pub mod scenario;
 pub mod shrink;
 
@@ -59,5 +63,6 @@ pub use harness::{
     run_scenario, run_suite, BackendReport, BackendVariant, CheckpointReport, ConformanceConfig,
     ScenarioReport, SuiteReport,
 };
+pub use reference::NaiveOracle;
 pub use scenario::{deep_suite, mix_seed, quick_suite, Scenario, ScenarioProfile, ScenarioStream};
 pub use shrink::shrink;

@@ -211,6 +211,77 @@ fn restart_after_simulated_crash_resumes_bit_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A malformed sample sent to a durable instance is a typed rejection
+/// that logs nothing: the stream time and the durable floor stay put, the
+/// next valid sample is acknowledged at the next epoch, and a relaunch
+/// recovers every acknowledged sample without panicking.
+#[test]
+fn malformed_samples_are_rejected_before_the_wal() {
+    let dir = temp_dir("malformed");
+    let total = 64u64;
+    let cfg = config(total, 107);
+    let hp = hyper(total);
+    let launch = || {
+        ServingEstimator::launch_durable(
+            cfg,
+            Some(hp),
+            ServeOptions::default(),
+            durability(&dir, 32),
+        )
+        .expect("durable launch failed")
+    };
+    let mut serving = launch();
+    for t in 1..=3 {
+        serving
+            .ingest_blocking(&sample_at(t))
+            .expect("ingest failed");
+    }
+    let malformed = [
+        (
+            Sample::sparse(DIM, vec![(2, 0.5), (DIM as u32, 1.0)]),
+            IngestError::IndexOutOfRange {
+                index: DIM,
+                dim: DIM,
+            },
+        ),
+        (
+            Sample::sparse(DIM, vec![(5, 0.5), (5, 1.0)]),
+            IngestError::DuplicateIndex { index: 5 },
+        ),
+        (
+            Sample::dense(vec![0.5; DIM as usize + 1]),
+            IngestError::DimensionMismatch {
+                expected: DIM,
+                found: DIM + 1,
+            },
+        ),
+    ];
+    for (sample, expected) in &malformed {
+        assert_eq!(serving.try_ingest(sample), Err(*expected));
+        let health = serving.health();
+        assert_eq!(health.ingest_epoch, 3, "{expected}: the epoch moved");
+        assert_eq!(
+            health.durability.last_durable_epoch, 3,
+            "{expected}: the durable floor moved"
+        );
+    }
+    assert_eq!(serving.health().quarantined_samples, 3);
+    serving
+        .ingest_blocking(&sample_at(4))
+        .expect("ingest failed");
+    assert_eq!(serving.health().durability.last_durable_epoch, 4);
+    serving.simulate_crash();
+
+    let mut serving = launch();
+    let report = serving.recovery_report().expect("relaunch reports").clone();
+    assert_eq!(report.recovered_epoch, 4, "{report}");
+    assert!(!report.wal_tail_discarded, "{report}");
+    let snap = serving.refresh_snapshot().expect("post-recovery refresh");
+    assert_snapshot_matches(&snap, &oracle_at(&cfg, Some(&hp), 2, 4), "recovered state");
+    serving.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn torn_latest_generation_falls_back_to_the_previous_one() {
     let dir = temp_dir("torn-gen");

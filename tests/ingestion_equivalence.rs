@@ -1,11 +1,12 @@
 //! Equivalence guarantees of the fused single-hash ingestion path and the
 //! sharded parallel ingestion layer.
 //!
-//! * A property test drives [`AscsSketch::offer`] against an **independent
-//!   naive oracle** (estimate → gate → update → estimate, written here from
-//!   the documented algorithm using only the raw [`CountSketch`] API) and
-//!   demands bit-identical decisions, tables, estimates and tracker state
-//!   across random geometries, keys, weights and phase splits.
+//! * A property test drives [`AscsSketch::offer`] against the **independent
+//!   naive oracle** [`NaiveOracle`] (estimate → gate → update → estimate,
+//!   written in `ascs_testkit` from the documented algorithm using only the
+//!   raw [`CountSketch`] API) and demands bit-identical decisions, tables,
+//!   estimates and tracker state across random geometries, keys, weights
+//!   and phase splits.
 //! * [`ShardedAscs`] is checked against sequential ingestion two ways:
 //!   vanilla mode with heavy collisions (dyadic weights, power-of-two `T`,
 //!   so the re-associated merge is exact) and gated mode on a
@@ -22,8 +23,10 @@
 //!   match the hashed batch path exactly, over both the sequential and the
 //!   parallel routing paths.
 
+use ascs::count_sketch::MAX_ROWS;
 use ascs::prelude::*;
 use ascs_core::AscsPhase;
+use ascs_testkit::NaiveOracle;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -34,63 +37,6 @@ fn hyper(t0: u64, theta: f64, tau0: f64) -> HyperParameters {
         tau0,
         delta: 0.05,
         delta_star: 0.2,
-    }
-}
-
-/// A from-scratch reimplementation of Algorithm 2's offer over the raw
-/// count sketch — deliberately *not* sharing the fused code paths, so a bug
-/// there cannot cancel out in the comparison. The tracker is fed a full
-/// fresh point query on every insert, the naive way.
-struct NaiveOracle {
-    sketch: CountSketch,
-    tracker: TopKTracker,
-    schedule: ThresholdSchedule,
-    t0: u64,
-    total: u64,
-    inserted: u64,
-    skipped: u64,
-}
-
-impl NaiveOracle {
-    fn new(
-        geometry: SketchGeometry,
-        hp: &HyperParameters,
-        total: u64,
-        cap: usize,
-        seed: u64,
-    ) -> Self {
-        Self {
-            sketch: CountSketch::new(geometry.rows, geometry.range, seed),
-            tracker: TopKTracker::new(cap),
-            schedule: ThresholdSchedule::linear(hp.tau0, hp.theta, hp.t0, total),
-            t0: hp.t0,
-            total,
-            inserted: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Returns whether the update was inserted.
-    fn offer(&mut self, key: u64, x: f64, t: u64) -> bool {
-        let w = x * (1.0 / self.total as f64);
-        let exploration = t <= self.t0;
-        let accept = if exploration {
-            true
-        } else {
-            let estimate = self.sketch.estimate(key);
-            let posterior = estimate + w;
-            let tau = self.schedule.tau(t - 1);
-            estimate.abs() >= tau || posterior.abs() >= tau
-        };
-        if accept {
-            self.sketch.update(key, w);
-            self.inserted += 1;
-            let fresh = self.sketch.estimate(key);
-            self.tracker.offer(key, fresh.abs());
-        } else {
-            self.skipped += 1;
-        }
-        accept
     }
 }
 
@@ -190,33 +136,54 @@ proptest! {
     }
 
     /// The batch driver (gate memoised per distinct `t`, look-ahead
-    /// prefetch) changes nothing observable against per-update offers.
+    /// prefetch when planned) changes nothing observable against per-update
+    /// offers: hashed or planned, tracked or not, at every row count up to
+    /// one past the fused kernel's `MAX_ROWS` cap (so the unfused fallback
+    /// runs inside a batch), with NaN/±inf values quarantined at the same
+    /// positions on both sides.
     #[test]
     fn ingest_planned_batch_is_bit_identical_to_offers(
+        rows in 1usize..MAX_ROWS + 2,
         range in 8usize..256,
         seed in 0u64..500,
+        planned in proptest::bool::ANY,
+        track in proptest::bool::ANY,
+        poison in proptest::collection::vec((0usize..200, 0usize..3), 0..4),
         updates in proptest::collection::vec((0u64..32, -2.0f64..2.0), 1..200),
     ) {
         let total = 64u64;
         let hp = hyper(8, 0.3, 1e-3);
-        let geometry = SketchGeometry::new(5, range);
-        let mut direct = AscsSketch::new(geometry, &hp, total, 16, seed);
-        let mut batched = AscsSketch::new(geometry, &hp, total, 16, seed);
+        let geometry = SketchGeometry::new(rows, range);
+        let build = || {
+            let s = AscsSketch::new(geometry, &hp, total, 16, seed);
+            if track { s } else { s.without_tracking() }
+        };
+        let mut direct = build();
+        let mut batched = build();
         let plan = batched.sketch().build_plan(32);
-        let batch: Vec<ShardUpdate> = updates
+        let mut batch: Vec<ShardUpdate> = updates
             .iter()
             .enumerate()
             .map(|(i, &(key, x))| ShardUpdate { key, value: x, t: (i as u64 % total) + 1 })
             .collect();
+        let len = batch.len();
+        for &(pos, kind) in &poison {
+            batch[pos % len].value = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+        }
         for u in &batch {
             direct.offer(u.key, u.value, u.t);
         }
-        batched.ingest_planned(&plan, &batch);
+        if planned {
+            batched.ingest_planned(&plan, &batch);
+        } else {
+            batched.ingest_batch(None, &batch);
+        }
         let ta = direct.sketch().table();
         let tb = batched.sketch().table();
         prop_assert!(ta.iter().zip(tb).all(|(a, b)| a.to_bits() == b.to_bits()));
         prop_assert_eq!(direct.inserted_updates(), batched.inserted_updates());
         prop_assert_eq!(direct.skipped_updates(), batched.skipped_updates());
+        prop_assert_eq!(direct.quarantined_updates(), batched.quarantined_updates());
         prop_assert_eq!(direct.top_pairs(), batched.top_pairs());
     }
 
