@@ -517,7 +517,6 @@ impl DurableStore {
         if self.wal.is_none() {
             self.open_segment()?;
         }
-        let sync_dir = !matches!(self.opts.fsync, FsyncPolicy::Never);
         let w = self.wal.as_mut().expect("segment opened above");
         use std::io::Write as _;
         w.file
@@ -537,7 +536,6 @@ impl DurableStore {
             self.wal_syncs += 1;
             self.last_durable_epoch = self.last_durable_epoch.max(t);
         }
-        let _ = sync_dir; // directory entry was synced at open_segment
         Ok(())
     }
 
@@ -567,15 +565,16 @@ impl DurableStore {
         let Some(mut w) = self.wal.take() else {
             return Ok(());
         };
+        // Under `Never` the sealed tail stays unsynced: it is neither
+        // counted as a sync nor claimed by the durable floor.
         let result = if w.unsynced > 0 && !matches!(self.opts.fsync, FsyncPolicy::Never) {
-            w.file.sync()
+            w.file.sync().map(|()| {
+                self.wal_syncs += 1;
+                self.last_durable_epoch = self.last_durable_epoch.max(w.last_t);
+            })
         } else {
             Ok(())
         };
-        if result.is_ok() && w.unsynced > 0 {
-            self.wal_syncs += 1;
-            self.last_durable_epoch = self.last_durable_epoch.max(w.last_t);
-        }
         self.sealed.push(SealedSegment {
             path: w.path,
             last_t: w.last_t,
@@ -1195,8 +1194,7 @@ impl RecoveryManager {
                     .rename(&tmp, gap_path)
                     .map_err(io_err("wal repair rename"))?;
             }
-            for (&seq, path) in wal_segments.range(gap_seq + 1..) {
-                let _ = seq;
+            for (_, path) in wal_segments.range(gap_seq + 1..) {
                 self.fs
                     .remove_file(path)
                     .map_err(io_err("wal repair remove"))?;

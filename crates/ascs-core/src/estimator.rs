@@ -38,6 +38,24 @@ pub(crate) const MAX_PLANNED_PAIRS: u64 = 50_000_000;
 /// runs instead.
 pub(crate) const TRANSIENT_PLAN_PAIRS: u64 = 8_000_000;
 
+/// Blocked sweep of `sketch` over the pair keys `0..p`: one
+/// [`CountSketch::estimate_many`] pass over `plan` when it covers the
+/// universe, over a throwaway plan up to [`TRANSIENT_PLAN_PAIRS`], and
+/// point queries beyond. The estimator's and the serving snapshot's
+/// `all_estimates` both read through it.
+pub(crate) fn sweep_estimates(sketch: &CountSketch, plan: Option<&HashPlan>, p: u64) -> Vec<f64> {
+    let mut out = Vec::new();
+    match plan {
+        Some(plan) if plan.len() as u64 >= p => sketch.estimate_many(plan, &mut out),
+        _ if p <= TRANSIENT_PLAN_PAIRS => {
+            sketch.estimate_many(&sketch.build_plan(p as usize), &mut out);
+        }
+        _ => out.extend((0..p).map(|key| sketch.estimate(key))),
+    }
+    out.truncate(p as usize);
+    out
+}
+
 /// Why an ingestion plan could not be attached. Callers fall back to the
 /// per-update hashed path, which every backend supports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -690,16 +708,16 @@ impl CovarianceEstimator {
             "enumerating {p} pairs would be prohibitively slow; use top_pairs()"
         );
         match &self.backend {
-            BackendState::Ascs(a) => self.sweep_estimates(a.sketch(), p),
+            BackendState::Ascs(a) => sweep_estimates(a.sketch(), self.plan.as_ref(), p),
             BackendState::Sharded { sketch, .. } => {
-                self.sweep_estimates(&sketch.merged_sketch(), p)
+                sweep_estimates(&sketch.merged_sketch(), self.plan.as_ref(), p)
             }
             // The merged table holds the same per-bucket sums, added in the
             // same order, as the per-key read path — so after the identical
             // normalising division the sweep is bit-identical to
             // `estimate_key`.
             BackendState::Windowed(w) => {
-                let mut out = self.sweep_estimates(&w.merged_sketch(), p);
+                let mut out = sweep_estimates(&w.merged_sketch(), self.plan.as_ref(), p);
                 let n = w.window_len();
                 if n > 0 {
                     for v in &mut out {
@@ -709,7 +727,7 @@ impl CovarianceEstimator {
                 out
             }
             BackendState::Decayed(d) => {
-                let mut out = self.sweep_estimates(&d.merged_sketch(), p);
+                let mut out = sweep_estimates(&d.merged_sketch(), self.plan.as_ref(), p);
                 if d.t() > 0 {
                     let norm = d.weight_norm();
                     for v in &mut out {
@@ -720,21 +738,6 @@ impl CovarianceEstimator {
             }
             _ => (0..p).map(|key| self.backend.estimate(key)).collect(),
         }
-    }
-
-    /// Blocked whole-universe sweep over `sketch`, reusing the attached
-    /// plan when present and the universe is still in bounds.
-    fn sweep_estimates(&self, sketch: &CountSketch, p: u64) -> Vec<f64> {
-        let mut out = Vec::new();
-        match &self.plan {
-            Some(plan) if plan.len() as u64 >= p => sketch.estimate_many(plan, &mut out),
-            _ if p <= TRANSIENT_PLAN_PAIRS => {
-                sketch.estimate_many(&sketch.build_plan(p as usize), &mut out);
-            }
-            _ => out.extend((0..p).map(|key| sketch.estimate(key))),
-        }
-        out.truncate(p as usize);
-        out
     }
 
     /// The top tracked pairs (largest estimate magnitude first), decoded

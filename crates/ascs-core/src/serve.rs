@@ -59,7 +59,7 @@ use crate::durability::{
     prototype_sketch, DurabilityError, DurabilityHealth, DurabilityOptions, DurableStore,
     RecoveredState, RecoveryManager, RecoveryReport,
 };
-use crate::estimator::{ReportedPair, MAX_PLANNED_PAIRS, TRANSIENT_PLAN_PAIRS};
+use crate::estimator::{sweep_estimates, ReportedPair, MAX_PLANNED_PAIRS};
 use crate::hyper::{HyperParameterSolver, HyperParameters};
 use crate::pair::PairIndexer;
 use crate::sharded::{shard_for, ShardUpdate, MAX_SHARDS, ROUTER_SALT};
@@ -351,24 +351,15 @@ impl Snapshot {
     /// Estimates for every pair key in `0..p` as one blocked
     /// `estimate_many` sweep over the instance's plan, or over a transient
     /// one when the snapshot holds none (point queries beyond the
-    /// transient-plan bound), mirroring `CovarianceEstimator::all_estimates`.
+    /// transient-plan bound) — the same sweep as
+    /// [`CovarianceEstimator::all_estimates`](crate::CovarianceEstimator::all_estimates).
     pub fn all_estimates(&self) -> Vec<f64> {
         let p = self.num_pairs;
         assert!(
             p <= MAX_PLANNED_PAIRS,
             "enumerating {p} pairs would be prohibitively slow; use top_pairs()"
         );
-        let mut out = Vec::new();
-        if let Some(plan) = &self.plan {
-            self.merged.estimate_many(plan, &mut out);
-        } else if p <= TRANSIENT_PLAN_PAIRS {
-            self.merged
-                .estimate_many(&self.merged.build_plan(p as usize), &mut out);
-            out.truncate(p as usize);
-        } else {
-            out.extend((0..p).map(|key| self.merged.estimate(key)));
-        }
-        out
+        sweep_estimates(&self.merged, self.plan.as_deref(), p)
     }
 
     /// The top tracked pairs (largest estimate magnitude first, ties by
@@ -1229,8 +1220,8 @@ impl ServingEstimator {
     /// the durability policy had made durable mid-stream. The worker
     /// threads still join (they hold no durable state), so the call is
     /// safe to follow with an immediate [`ServingEstimator::launch_durable`]
-    /// over the same directory; the in-process recovery assertions in
-    /// `serve_bench` and the tests are built on this.
+    /// over the same directory; the cold-restart tests and the benchmark's
+    /// crash-and-relaunch phase are built on this.
     pub fn simulate_crash(mut self) {
         self.crash_simulated = true;
         self.shutdown_inner();

@@ -453,6 +453,64 @@ fn failed_fsync_retries_into_a_fresh_segment_without_losing_durability() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `wal_syncs` counts the WAL fsyncs that actually ran, and the durable
+/// floor only covers records such a sync made durable — including at
+/// segment rotation, where `Never` must neither count nor claim the
+/// sealed tail. No checkpoint runs, so every file fsync is a WAL fsync.
+#[test]
+fn wal_sync_accounting_matches_the_fsyncs_that_ran_under_every_policy() {
+    let total = 20u64;
+    let cfg = config(total, 113);
+    let hp = hyper(total);
+    for (policy, syncs, floor) in [
+        (FsyncPolicy::Always, 20, 20),
+        (FsyncPolicy::EveryN(4), 5, 20),
+        (FsyncPolicy::Never, 0, 0),
+    ] {
+        let dir = temp_dir(&format!("fsync-policy-{syncs}"));
+        let opts = DurabilityOptions {
+            fsync: policy,
+            wal_segment_records: 8,
+            ..durability(&dir, 0)
+        };
+        let fs = Arc::new(FaultFs::new());
+        let mut serving = ServingEstimator::launch_durable_with_faults(
+            cfg,
+            Some(hp),
+            ServeOptions::default(),
+            opts,
+            Arc::new(NoFaults),
+            fs.clone(),
+        )
+        .expect("durable launch failed");
+        for t in 1..=total {
+            serving
+                .ingest_blocking(&sample_at(t))
+                .expect("ingest failed");
+        }
+        let health = serving.health().durability;
+        let wal_fsyncs = fs
+            .log()
+            .iter()
+            .filter(|op| op.starts_with("sync wal-"))
+            .count() as u64;
+        assert_eq!(
+            fs.sync_count(),
+            wal_fsyncs,
+            "{policy:?}: only the WAL syncs"
+        );
+        assert_eq!(health.wal_syncs, wal_fsyncs, "{policy:?}: reported syncs");
+        assert_eq!(health.wal_syncs, syncs, "{policy:?}: expected syncs");
+        assert_eq!(
+            health.last_durable_epoch, floor,
+            "{policy:?}: durable floor"
+        );
+        assert_eq!(health.wal_records, total);
+        serving.simulate_crash();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 #[test]
 fn save_to_path_commit_protocol_orders_write_sync_rename_dirsync() {
     // Satellite regression for the durability hole fixed in this PR: the

@@ -198,20 +198,44 @@ fn header_corruption_is_detected_per_field() {
     let mut bytes = Vec::new();
     cs.save(&mut bytes).unwrap();
 
-    let mut bad_magic = bytes.clone();
-    bad_magic[0] ^= 0xFF;
-    assert!(matches!(
-        CountSketch::restore(&mut bad_magic.as_slice()),
-        Err(CodecError::BadMagic(_))
-    ));
+    let dim = 12u64;
+    let total = 16u64;
+    let mut estimator = CovarianceEstimator::with_hyperparameters(
+        base_config(dim, total, 5),
+        SketchBackend::Ascs,
+        Some(hyper(4, 0.25, 1e-3)),
+    );
+    for s in &dyadic_samples(dim, total / 2, 0) {
+        estimator.process_sample(s);
+    }
+    let mut estimator_bytes = Vec::new();
+    estimator.checkpoint(&mut estimator_bytes).unwrap();
 
-    // A future format version is refused outright (no migration policy).
-    let mut bumped = bytes.clone();
-    bumped[4] = 2;
-    assert!(matches!(
-        CountSketch::restore(&mut bumped.as_slice()),
-        Err(CodecError::UnsupportedVersion(2))
-    ));
+    type Restore = fn(&[u8]) -> Result<(), CodecError>;
+    let records: [(&str, &[u8], Restore); 2] = [
+        ("CountSketch", &bytes, |b| {
+            CountSketch::restore(&mut &b[..]).map(drop)
+        }),
+        ("CovarianceEstimator", &estimator_bytes, |b| {
+            CovarianceEstimator::resume(&mut &b[..]).map(drop)
+        }),
+    ];
+    for (what, record, restore) in records {
+        let mut bad_magic = record.to_vec();
+        bad_magic[0] ^= 0xFF;
+        assert!(
+            matches!(restore(&bad_magic), Err(CodecError::BadMagic(_))),
+            "{what}: flipped magic byte"
+        );
+
+        // A future format version is refused outright (no migration policy).
+        let mut bumped = record.to_vec();
+        bumped[4] = 2;
+        assert!(
+            matches!(restore(&bumped), Err(CodecError::UnsupportedVersion(2))),
+            "{what}: bumped version byte"
+        );
+    }
 
     // Restoring the wrong record type is refused by tag.
     assert!(matches!(
@@ -325,6 +349,11 @@ fn estimator_resume_is_bit_identical_for_every_cs_backend() {
         let mut bytes = Vec::new();
         front.checkpoint(&mut bytes).unwrap();
         let mut resumed = CovarianceEstimator::resume(&mut bytes.as_slice()).unwrap();
+        assert_eq!(
+            resumed.top_pairs(usize::MAX),
+            front.top_pairs(usize::MAX),
+            "{backend:?}: restored tracker differs from the checkpointed one"
+        );
         for s in &samples[half..] {
             resumed.process_sample(s);
         }

@@ -183,6 +183,13 @@ fn concurrent_readers_never_observe_a_torn_or_regressing_snapshot() {
                     for key in [0u64, 7, 64, PAIRS - 1] {
                         assert!(view.snapshot.estimate(key).is_finite());
                     }
+                    // Top-k reads and whole-universe sweeps must also see a
+                    // complete table.
+                    let top = view.snapshot.top_pairs(16);
+                    assert!(top.iter().all(|p| p.estimate.is_finite()));
+                    let sweep = view.snapshot.all_estimates();
+                    assert_eq!(sweep.len() as u64, PAIRS);
+                    assert!(sweep.iter().all(|v| v.is_finite()));
                     assert!(!view.degraded, "no faults were injected");
                     reads += 1;
                 }
