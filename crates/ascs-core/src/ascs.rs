@@ -27,7 +27,7 @@
 //! ([`AscsSketch::ingest_batch`]) runs it over a slice of updates for
 //! every sequential, sharded and serving ingest path.
 
-use crate::config::SketchGeometry;
+use crate::config::{AscsConfig, SketchGeometry};
 use crate::hyper::HyperParameters;
 use crate::schedule::ThresholdSchedule;
 use crate::serve::IngestError;
@@ -154,6 +154,22 @@ impl AscsSketch {
             delta_star: 0.999,
         };
         Self::new(geometry, &hyper, total_samples, top_k_capacity, seed)
+    }
+
+    /// The sketch `config` describes: gated with `hyper`, vanilla without.
+    /// Every shard set built from a configuration (serving launch,
+    /// recovery, the sharded estimator) starts from it.
+    pub(crate) fn for_config(config: &AscsConfig, hyper: Option<&HyperParameters>) -> Self {
+        let (geometry, total, top_k, seed) = (
+            config.geometry,
+            config.total_samples,
+            config.top_k_capacity,
+            config.seed,
+        );
+        match hyper {
+            Some(hp) => Self::new(geometry, hp, total, top_k, seed),
+            None => Self::vanilla(geometry, total, top_k, seed),
+        }
     }
 
     /// Switches the sampling gate to the signed estimate (`μ̂ ≥ τ`), the

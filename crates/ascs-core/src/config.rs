@@ -1,5 +1,6 @@
 //! Configuration types shared across the ASCS core.
 
+use crate::theory::TheoryBounds;
 use serde::{Deserialize, Serialize};
 
 /// Which matrix entries the estimator targets.
@@ -123,6 +124,21 @@ impl AscsConfig {
     /// Number of unique pairs `p = d(d−1)/2`.
     pub fn num_pairs(&self) -> u64 {
         crate::pair::num_pairs(self.dim)
+    }
+
+    /// The Theorem 1–3 bounds of this configuration — what Algorithm 3
+    /// inverts to solve `(T0, θ)` for every gated estimator and serving
+    /// instance built from it.
+    pub fn theory_bounds(&self) -> TheoryBounds {
+        TheoryBounds::new(
+            self.num_pairs(),
+            self.geometry.range,
+            self.geometry.rows,
+            self.alpha,
+            self.sigma,
+            self.signal_strength,
+            self.total_samples,
+        )
     }
 
     /// Validates the configuration, returning a description of the first

@@ -4,7 +4,7 @@
 //! directory — with state proven bit-identical to an uninterrupted run.
 //!
 //! The design mirrors the in-memory recovery recipe of the serving
-//! supervisor (checkpoint plus replay log), lifted across process death:
+//! workers (checkpoint plus replay log), lifted across process death:
 //!
 //! * **Write-ahead log** — every accepted sample is encoded as a
 //!   [`codec::TAG_WAL_RECORD`] payload and appended to the active segment
@@ -22,9 +22,10 @@
 //! * **Recovery** — [`RecoveryManager::recover`] scans the directory,
 //!   validates generations newest-first (a torn or corrupt generation is
 //!   discarded with a counter and the previous one is used), then replays
-//!   the WAL tail through the *same* routing and gate-memoized apply loop
-//!   as live ingestion, so the recovered sketches are bit-identical to a
-//!   sequential run over the recovered prefix.
+//!   the WAL tail into the recovered [`ShardedAscs`] through its own
+//!   [`ShardedAscs::offer_batch`] — the routing and batch driver every
+//!   shard set uses — so the recovered shards are bit-identical to a
+//!   sequential `ShardedAscs` run over the recovered prefix.
 //! * **Degraded mode** — persistence failures never kill serving. Appends
 //!   retry with bounded exponential backoff into fresh segments; when the
 //!   budget is spent the store raises `durability_lost` and freezes
@@ -42,12 +43,9 @@
 use crate::ascs::AscsSketch;
 use crate::config::AscsConfig;
 use crate::hyper::HyperParameters;
-use crate::sharded::{shard_for, ShardUpdate, ROUTER_SALT};
+use crate::sharded::{ShardUpdate, ShardedAscs, DEFAULT_PARALLEL_THRESHOLD};
 use crate::stream::{Sample, StreamContext};
-use crate::supervisor::apply_batch;
 use ascs_count_sketch::codec::{self, CodecError, DurableFile, DurableFs};
-use ascs_count_sketch::CountSketch;
-use ascs_sketch_hash::splitmix64;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -325,28 +323,6 @@ fn read_single_frame(r: &mut impl io::Read, cap: u32) -> Result<Vec<u8>, CodecEr
     Ok(payload)
 }
 
-/// The prototype sketch every shard boots from — gated when
-/// hyperparameters are supplied, vanilla otherwise. Shared by the serving
-/// launch path and recovery so a cold start and a post-crash start are the
-/// same code path.
-pub(crate) fn prototype_sketch(config: &AscsConfig, hyper: Option<&HyperParameters>) -> AscsSketch {
-    match hyper {
-        Some(hp) => AscsSketch::new(
-            config.geometry,
-            hp,
-            config.total_samples,
-            config.top_k_capacity,
-            config.seed,
-        ),
-        None => AscsSketch::vanilla(
-            config.geometry,
-            config.total_samples,
-            config.top_k_capacity,
-            config.seed,
-        ),
-    }
-}
-
 fn exponential_backoff(base: Duration, attempt: u32) -> Duration {
     let factor = 1u32 << attempt.min(10);
     base.saturating_mul(factor).min(Duration::from_millis(100))
@@ -531,10 +507,20 @@ impl DurableStore {
             FsyncPolicy::Never => false,
         };
         if sync_now {
-            w.file.sync().map_err(io_err("wal fsync"))?;
+            self.sync_active().map_err(io_err("wal fsync"))?;
+        }
+        Ok(())
+    }
+
+    /// The one WAL fsync: syncs the active segment when it holds unsynced
+    /// records, counts the sync and raises the durable floor to the
+    /// segment's last record. A failed sync leaves the records unsynced.
+    fn sync_active(&mut self) -> io::Result<()> {
+        if let Some(w) = self.wal.as_mut().filter(|w| w.unsynced > 0) {
+            w.file.sync()?;
             w.unsynced = 0;
             self.wal_syncs += 1;
-            self.last_durable_epoch = self.last_durable_epoch.max(t);
+            self.last_durable_epoch = self.last_durable_epoch.max(w.last_t);
         }
         Ok(())
     }
@@ -561,29 +547,21 @@ impl DurableStore {
         Ok(())
     }
 
+    /// Syncs the active segment's tail, unless the policy is `Never` (the
+    /// tail then stays unsynced: neither counted as a sync nor claimed by
+    /// the durable floor), and seals it whether or not the sync succeeded.
     fn rotate_segment(&mut self) -> Result<(), DurabilityError> {
-        let Some(mut w) = self.wal.take() else {
-            return Ok(());
-        };
-        // Under `Never` the sealed tail stays unsynced: it is neither
-        // counted as a sync nor claimed by the durable floor.
-        let result = if w.unsynced > 0 && !matches!(self.opts.fsync, FsyncPolicy::Never) {
-            w.file.sync().map(|()| {
-                self.wal_syncs += 1;
-                self.last_durable_epoch = self.last_durable_epoch.max(w.last_t);
-            })
-        } else {
+        let synced = if matches!(self.opts.fsync, FsyncPolicy::Never) {
             Ok(())
+        } else {
+            self.sync_active()
         };
-        self.sealed.push(SealedSegment {
-            path: w.path,
-            last_t: w.last_t,
-        });
-        result.map_err(io_err("wal fsync"))
+        self.abandon_segment();
+        synced.map_err(io_err("wal fsync"))
     }
 
-    /// Seals the active segment without attempting a sync — the segment
-    /// just failed, so its tail is suspect either way.
+    /// Seals the active segment as it stands, without a sync: after a
+    /// rotation's sync, or after a failure that leaves its tail suspect.
     fn abandon_segment(&mut self) {
         if let Some(w) = self.wal.take() {
             self.sealed.push(SealedSegment {
@@ -600,24 +578,12 @@ impl DurableStore {
         if self.lost {
             return Ok(());
         }
-        if let Some(w) = self.wal.as_mut() {
-            if w.unsynced > 0 {
-                match w.file.sync() {
-                    Ok(()) => {
-                        w.unsynced = 0;
-                        self.wal_syncs += 1;
-                        self.last_durable_epoch = self.last_durable_epoch.max(w.last_t);
-                    }
-                    Err(e) => {
-                        self.retries += 1;
-                        self.abandon_segment();
-                        self.lost = true;
-                        return Err(io_err("wal fsync")(e));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.sync_active().map_err(|e| {
+            self.retries += 1;
+            self.abandon_segment();
+            self.lost = true;
+            io_err("wal fsync")(e)
+        })
     }
 
     /// Whether the automatic checkpoint cadence is due at stream time `t`.
@@ -630,8 +596,9 @@ impl DurableStore {
             && t >= self.last_checkpoint_attempt + self.opts.checkpoint_every
     }
 
-    /// Writes one checkpoint generation: every shard sketch through the
-    /// atomic commit protocol, then the manifest last (the commit point).
+    /// Writes one checkpoint generation: every shard of `shards` through
+    /// the atomic commit protocol, then the manifest last (the commit
+    /// point).
     /// On success the generation is registered, durability is
     /// re-established if it had been lost (the checkpoint covers the gap),
     /// and files covered by every retained generation are collected.
@@ -639,11 +606,11 @@ impl DurableStore {
         &mut self,
         epoch: u64,
         ctx: &StreamContext,
-        shard_sketches: &[AscsSketch],
+        shards: &ShardedAscs,
         seed: u64,
         emitted_updates: u64,
     ) -> Result<(), DurabilityError> {
-        assert_eq!(shard_sketches.len(), self.shards, "shard count mismatch");
+        assert_eq!(shards.shards(), self.shards, "shard count mismatch");
         self.last_checkpoint_attempt = epoch;
         let generation = self.next_generation;
         let mut attempt = 0u32;
@@ -652,7 +619,7 @@ impl DurableStore {
                 generation,
                 epoch,
                 ctx,
-                shard_sketches,
+                shards.workers(),
                 seed,
                 emitted_updates,
             ) {
@@ -867,14 +834,14 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// The state a cold start resumes from: stream context plus per-shard
-/// sketches at [`RecoveredState::epoch`], bit-identical to a sequential
-/// run over the recovered prefix.
+/// The state a cold start resumes from: stream context plus the shard set
+/// at [`RecoveredState::epoch`], bit-identical to a sequential
+/// [`ShardedAscs`] run over the recovered prefix.
 pub struct RecoveredState {
     pub(crate) epoch: u64,
     pub(crate) emitted_updates: u64,
     pub(crate) ctx: StreamContext,
-    pub(crate) shard_sketches: Vec<AscsSketch>,
+    pub(crate) shards: ShardedAscs,
 }
 
 impl RecoveredState {
@@ -893,20 +860,10 @@ impl RecoveredState {
         &self.ctx
     }
 
-    /// The recovered per-shard sketches, in shard order.
-    pub fn shard_sketches(&self) -> &[AscsSketch] {
-        &self.shard_sketches
-    }
-
-    /// The shard sketches merged via count-sketch linearity — what a
-    /// sequential `ShardedAscs` run over the same prefix would hold, used
-    /// by the bit-identity assertions.
-    pub fn merged_sketch(&self) -> CountSketch {
-        let mut merged = self.shard_sketches[0].sketch().clone();
-        for shard in &self.shard_sketches[1..] {
-            merged.merge(shard.sketch());
-        }
-        merged
+    /// The recovered shard set: its workers, merged table, gate counters
+    /// and top list are what the bit-identity assertions compare.
+    pub fn shard_set(&self) -> &ShardedAscs {
+        &self.shards
     }
 }
 
@@ -953,8 +910,8 @@ impl RecoveryManager {
     /// files, validates checkpoint generations newest-first (torn ones
     /// are discarded with a counter — never a panic, never silently wrong
     /// state), restores the newest valid one (or the prototype when none
-    /// survives), then replays the WAL tail through the same routing and
-    /// gate-memoized apply loop as live ingestion. Replay skips duplicate
+    /// survives), then replays the WAL tail into the recovered shard set
+    /// through [`ShardedAscs::offer_batch`]. Replay skips duplicate
     /// records at or below the current epoch, tolerates torn segment
     /// tails, and stops at the first gap in stream times — the end of the
     /// contiguous durable prefix.
@@ -1025,14 +982,15 @@ impl RecoveryManager {
             .max()
             .copied()
             .unwrap_or(0);
-        let mut chosen: Option<(u64, u64, u64, StreamContext, Vec<AscsSketch>)> = None;
+        let mut chosen: Option<(u64, u64, u64, StreamContext, ShardedAscs)> = None;
         let mut retained: Vec<(u64, u64)> = Vec::new();
         for (&generation, manifest) in manifests.iter().rev() {
             if chosen.is_none() {
                 match self.load_generation(manifest, generation, &shard_files, config, shards) {
                     Ok((epoch, emitted, ctx, sketches)) => {
                         retained.push((generation, epoch));
-                        chosen = Some((generation, epoch, emitted, ctx, sketches));
+                        let set = ShardedAscs::from_workers(sketches, config.seed);
+                        chosen = Some((generation, epoch, emitted, ctx, set));
                     }
                     Err(GenerationError::Torn) => {
                         report.torn_generations_discarded += 1;
@@ -1063,29 +1021,32 @@ impl RecoveryManager {
             }
         }
 
-        let (mut epoch, mut emitted, mut ctx, mut sketches) = match chosen {
-            Some((generation, epoch, emitted, ctx, sketches)) => {
+        let (mut epoch, mut emitted, mut ctx, set) = match chosen {
+            Some((generation, epoch, emitted, ctx, set)) => {
                 report.checkpoint_generation = Some(generation);
                 report.checkpoint_epoch = epoch;
-                (epoch, emitted, ctx, sketches)
+                (epoch, emitted, ctx, set)
             }
-            None => {
-                let prototype = prototype_sketch(config, hyper);
-                (
-                    0,
-                    0,
-                    StreamContext::new(config.dim, config.update_mode, config.estimand),
-                    vec![prototype; shards],
-                )
-            }
+            None => (
+                0,
+                0,
+                StreamContext::new(config.dim, config.update_mode, config.estimand),
+                ShardedAscs::for_config(config, hyper, shards),
+            ),
         };
+        // Replay stays on the calling thread (the default threshold comes
+        // back with the recovered state). A `serve_sparse_durable` sample
+        // (about 4.5k updates) is above the shard set's 2048-update fan-out
+        // threshold, and fanning its replay out across scoped threads
+        // raised that workload's peak RSS from 56–58 MiB to 66–68 MiB in
+        // 10-s runs on a 2-vCPU VM without shortening recovery.
+        let mut set = set.with_parallel_threshold(usize::MAX);
 
         // ------------------------------------------------------------------
-        // WAL tail: replay in segment order through the live apply loop.
+        // WAL tail: replay in segment order into the shard set.
         // ------------------------------------------------------------------
-        let salt = splitmix64(config.seed ^ ROUTER_SALT);
         let cap = wal_frame_cap(config.dim);
-        let mut scratch: Vec<Vec<ShardUpdate>> = vec![Vec::new(); shards];
+        let mut batch: Vec<ShardUpdate> = Vec::new();
         let mut sealed: Vec<SealedSegment> = Vec::new();
         // Valid frames consumed from the segment being read, so a record
         // gap can rewrite that segment down to exactly this prefix.
@@ -1134,22 +1095,15 @@ impl RecoveryManager {
                 }
                 segment_last_t = segment_last_t.max(t);
                 kept.push(payload);
-                for buf in &mut scratch {
-                    buf.clear();
-                }
+                batch.clear();
                 emitted += ctx.ingest(&sample, |u| {
-                    scratch[shard_for(u.key, salt, shards)].push(ShardUpdate {
+                    batch.push(ShardUpdate {
                         key: u.key,
                         value: u.value,
                         t,
                     });
                 });
-                for (shard, buf) in scratch.iter().enumerate() {
-                    if !buf.is_empty() {
-                        // Hashed: no plan is built before recovery ends.
-                        apply_batch(&mut sketches[shard], buf, None, None);
-                    }
-                }
+                set.offer_batch(&batch);
                 epoch = t;
                 report.wal_records_replayed += 1;
             }
@@ -1220,7 +1174,7 @@ impl RecoveryManager {
                 epoch,
                 emitted_updates: emitted,
                 ctx,
-                shard_sketches: sketches,
+                shards: set.with_parallel_threshold(DEFAULT_PARALLEL_THRESHOLD),
             },
             report,
             bootstrap,

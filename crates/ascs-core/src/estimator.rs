@@ -15,7 +15,6 @@ use crate::serve::IngestError;
 use crate::sharded::{ShardUpdate, ShardedAscs};
 use crate::snr::SnrProbe;
 use crate::stream::{Sample, StreamContext};
-use crate::theory::TheoryBounds;
 use crate::timeaware::{DecayedSketch, WindowedSketch, MAX_WINDOW_SEGMENTS};
 use ascs_count_sketch::codec::{self, CodecError};
 use ascs_count_sketch::{
@@ -253,16 +252,7 @@ impl CovarianceEstimator {
             .unwrap_or_else(|e| panic!("invalid ASCS configuration: {e}"));
         let hyper = match backend {
             SketchBackend::Ascs | SketchBackend::ShardedAscs { .. } => {
-                let bounds = TheoryBounds::new(
-                    config.num_pairs(),
-                    config.geometry.range,
-                    config.geometry.rows,
-                    config.alpha,
-                    config.sigma,
-                    config.signal_strength,
-                    config.total_samples,
-                );
-                let solver = HyperParameterSolver::new(bounds);
+                let solver = HyperParameterSolver::new(config.theory_bounds());
                 Some(solver.solve(config.tau0, config.delta, config.delta_star)?)
             }
             _ => None,
@@ -282,16 +272,7 @@ impl CovarianceEstimator {
             .unwrap_or_else(|e| panic!("invalid ASCS configuration: {e}"));
         let (hyper, fell_back) = match backend {
             SketchBackend::Ascs | SketchBackend::ShardedAscs { .. } => {
-                let bounds = TheoryBounds::new(
-                    config.num_pairs(),
-                    config.geometry.range,
-                    config.geometry.rows,
-                    config.alpha,
-                    config.sigma,
-                    config.signal_strength,
-                    config.total_samples,
-                );
-                let solver = HyperParameterSolver::new(bounds);
+                let solver = HyperParameterSolver::new(config.theory_bounds());
                 let (hp, fell_back) =
                     solver.solve_or_fallback(config.tau0, config.delta, config.delta_star, 0.1);
                 (Some(hp), fell_back)
@@ -316,34 +297,16 @@ impl CovarianceEstimator {
         let backend_state = match backend {
             SketchBackend::Ascs => {
                 let hp = hyper.expect("ASCS backend requires hyperparameters");
-                BackendState::Ascs(AscsSketch::new(
-                    config.geometry,
-                    &hp,
-                    config.total_samples,
-                    config.top_k_capacity,
-                    config.seed,
-                ))
+                BackendState::Ascs(AscsSketch::for_config(&config, Some(&hp)))
             }
             SketchBackend::ShardedAscs { shards } => {
                 let hp = hyper.expect("sharded ASCS backend requires hyperparameters");
                 BackendState::Sharded {
-                    sketch: ShardedAscs::new(
-                        config.geometry,
-                        &hp,
-                        config.total_samples,
-                        config.top_k_capacity,
-                        config.seed,
-                        shards,
-                    ),
+                    sketch: ShardedAscs::for_config(&config, Some(&hp), shards),
                     pending: Vec::new(),
                 }
             }
-            SketchBackend::VanillaCs => BackendState::Ascs(AscsSketch::vanilla(
-                config.geometry,
-                config.total_samples,
-                config.top_k_capacity,
-                config.seed,
-            )),
+            SketchBackend::VanillaCs => BackendState::Ascs(AscsSketch::for_config(&config, None)),
             SketchBackend::AugmentedSketch { filter_capacity } => BackendState::Asketch {
                 sketch: AugmentedSketch::new(
                     config.geometry.rows,

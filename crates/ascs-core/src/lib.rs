@@ -35,11 +35,11 @@
 //!   cache-blocked whole-universe query sweeps;
 //! * [`snr`] — instrumentation measuring the empirical SNR of the ingested
 //!   stream (Figure 5);
-//! * [`serve`] — the fault-tolerant serving core: supervised shard workers
-//!   on dedicated threads with bounded-queue backpressure, epoch-stamped
+//! * [`serve`] — the fault-tolerant serving core: shard workers on
+//!   dedicated threads with bounded-queue backpressure, epoch-stamped
 //!   merged snapshots for torn-read-free queries, non-finite input
-//!   quarantine, and checkpoint-backed crash recovery under a supervisor
-//!   that restarts panicked workers.
+//!   quarantine, and checkpoint-backed crash recovery: a worker that
+//!   panics restarts itself in place, within a per-shard budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

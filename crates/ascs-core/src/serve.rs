@@ -1,5 +1,5 @@
-//! Fault-tolerant serving core: supervised shard workers, epoch-stamped
-//! snapshot reads and checkpoint-backed crash recovery.
+//! Fault-tolerant serving core: self-restarting shard workers,
+//! epoch-stamped snapshot reads and checkpoint-backed crash recovery.
 //!
 //! [`ServingEstimator`] turns the batch-oriented estimator into a
 //! long-running service. Each shard worker owns its [`AscsSketch`] on a
@@ -31,11 +31,13 @@
 //!   the ingest boundary by [`Sample::screen`] with a typed [`IngestError`]
 //!   and a counter, before any state (stream time, feature moments, WAL,
 //!   queues) is touched.
-//! * **Supervision** — each worker loop runs under `catch_unwind`; a
-//!   supervisor thread restarts a panicked worker from its last good
-//!   in-memory checkpoint (the PR 5 codec) and replays the bounded batch
-//!   log accumulated since that checkpoint, so post-recovery state is
-//!   bit-identical to a run that never crashed.
+//! * **Supervision** — each worker thread runs its loop under
+//!   `catch_unwind` and, when it panics, restarts it in place: it restores
+//!   its last good in-memory checkpoint (the sketch codec) and replays the
+//!   bounded batch log accumulated since that checkpoint, so
+//!   post-recovery state is bit-identical to a run that never crashed. A
+//!   shard that panics more than [`ServeOptions::max_restarts`] times is
+//!   abandoned.
 //! * **Degraded mode** — while recovery is in progress readers keep being
 //!   served the last published snapshot, stamped with its epoch and a
 //!   staleness flag ([`SnapshotView::degraded`], [`SnapshotView::lag`]).
@@ -45,30 +47,29 @@
 //!
 //! Determinism contract: per-shard update order is preserved (bounded FIFO
 //! queues, a single producer), workers apply updates through the same
-//! batch driver as [`ShardedAscs`], and snapshots merge worker sketches in
-//! shard order — so a snapshot at epoch `t` is bit-identical to a
-//! sequential [`ShardedAscs`] replay of the first `t` samples with the
-//! same configuration, shard count and seed. The fault-injection tests
-//! pin this down, panics and torn checkpoints included.
-//!
-//! [`ShardedAscs`]: crate::sharded::ShardedAscs
+//! batch driver as [`ShardedAscs`], and every snapshot and durable
+//! checkpoint is built from the collected worker sketches as a
+//! [`ShardedAscs`] — its merge and its top-list rule — so a snapshot at
+//! epoch `t` is bit-identical to a sequential [`ShardedAscs`] replay of
+//! the first `t` samples with the same configuration, shard count and
+//! seed. The fault-injection tests pin this down, panics and torn
+//! checkpoints included.
 
 use crate::ascs::AscsSketch;
 use crate::config::AscsConfig;
 use crate::durability::{
-    prototype_sketch, DurabilityError, DurabilityHealth, DurabilityOptions, DurableStore,
-    RecoveredState, RecoveryManager, RecoveryReport,
+    DurabilityError, DurabilityHealth, DurabilityOptions, DurableStore, RecoveredState,
+    RecoveryManager, RecoveryReport,
 };
 use crate::estimator::{sweep_estimates, ReportedPair, MAX_PLANNED_PAIRS};
 use crate::hyper::{HyperParameterSolver, HyperParameters};
 use crate::pair::PairIndexer;
-use crate::sharded::{shard_for, ShardUpdate, MAX_SHARDS, ROUTER_SALT};
+use crate::sharded::{router_salt, shard_for, ShardUpdate, ShardedAscs, MAX_SHARDS};
 use crate::stream::{PairUpdate, Sample, StreamContext};
 use crate::supervisor::{
-    lock, spawn_supervisor, spawn_worker, Envelope, PlanCell, PlanRecipe, RecoveryState,
-    ShardQueue, WorkerContext, WorkerShared,
+    lock, spawn_worker, Envelope, PlanCell, PlanRecipe, RecoveryState, ShardQueue, WorkerContext,
+    WorkerShared,
 };
-use crate::theory::TheoryBounds;
 use crate::timeaware::window_span;
 use ascs_count_sketch::codec::{DurableFs, StdFs};
 use ascs_count_sketch::{CountSketch, HashPlan, MAX_ROWS};
@@ -124,9 +125,9 @@ pub enum IngestError {
         /// The queue capacity in batches.
         capacity: usize,
     },
-    /// The shard exhausted its restart budget and was abandoned by the
-    /// supervisor; the serving instance can still answer reads from the
-    /// last published snapshot but accepts no further ingest.
+    /// The shard exhausted its restart budget and its worker stopped; the
+    /// serving instance can still answer reads from the last published
+    /// snapshot but accepts no further ingest.
     ShardFailed {
         /// The failed shard.
         shard: usize,
@@ -213,11 +214,11 @@ impl std::error::Error for ServeError {}
 /// default: recovery replays run without injection, so a panic-at-update-N
 /// fault cannot put a worker into an infinite crash loop. Returning `true`
 /// from [`FaultInjector::inject_during_recovery`] lifts that exemption —
-/// the supervisor's restart budget then bounds the crash loop, terminating
-/// in a typed [`IngestError::ShardFailed`]. Hooks that block
+/// the worker's restart budget then bounds the crash loop, terminating in
+/// a typed [`IngestError::ShardFailed`]. Hooks that block
 /// ([`FaultInjector::before_batch`], [`FaultInjector::before_recovery`])
 /// must be released before the serving instance is dropped — shutdown
-/// joins the supervision tree.
+/// joins every worker thread.
 pub trait FaultInjector: Send + Sync + 'static {
     /// Return `true` to panic the worker right before applying the update
     /// with this shard-local index (0-based over all updates the shard has
@@ -289,18 +290,17 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared between the producer, the workers, the supervisor and
-/// every [`SnapshotReader`].
+/// State shared between the producer, the workers and every
+/// [`SnapshotReader`]. Per-shard counters (restarts, the failed flag) live
+/// in each worker's own shared state.
 pub(crate) struct ServeShared {
     published: Mutex<Arc<Snapshot>>,
     /// Stream time of the newest fully enqueued sample.
     pub(crate) ingest_epoch: AtomicU64,
     /// Workers currently restoring + replaying after a panic.
     pub(crate) recovering: AtomicU64,
-    /// Worker panics observed by the supervisor.
+    /// Worker panics caught, over all shards.
     pub(crate) panics: AtomicU64,
-    /// Worker restarts performed by the supervisor.
-    pub(crate) restarts: AtomicU64,
     /// Checkpoint writes rejected by validation (kept the previous one).
     pub(crate) torn_checkpoints: AtomicU64,
     /// Shards abandoned after exhausting their restart budget.
@@ -311,7 +311,7 @@ pub(crate) struct ServeShared {
 
 /// An immutable, epoch-stamped merged view of the whole serving state.
 /// Cheap to share (`Arc`), safe to read from any thread, and bit-identical
-/// to a sequential [`ShardedAscs`](crate::sharded::ShardedAscs) replay of the first
+/// to a sequential [`ShardedAscs`] replay of the first
 /// [`Snapshot::epoch`] samples.
 pub struct Snapshot {
     epoch: u64,
@@ -430,7 +430,9 @@ impl SnapshotReader {
 /// A point-in-time copy of the serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Samples accepted by `try_ingest`.
+    /// The stream time: samples accepted by this instance plus any prefix
+    /// a durable launch recovered (the same value as
+    /// [`ServingEstimator::processed_samples`]).
     pub ingested_samples: u64,
     /// Pair updates emitted into the shard queues.
     pub emitted_updates: u64,
@@ -441,9 +443,9 @@ pub struct ServeStats {
     /// Blocking ingests that exhausted their deadline
     /// ([`IngestError::Timeout`]).
     pub ingest_timeouts: u64,
-    /// Worker panics observed by the supervisor.
+    /// Worker panics caught by the workers.
     pub worker_panics: u64,
-    /// Worker restarts performed by the supervisor.
+    /// Worker restarts, summed over the shards.
     pub worker_restarts: u64,
     /// Checkpoint writes rejected by validation.
     pub torn_checkpoints: u64,
@@ -466,7 +468,7 @@ pub struct ServingHealth {
     pub shard_restarts: Vec<u64>,
     /// Shards abandoned after exhausting their restart budget.
     pub failed_shards: Vec<usize>,
-    /// Worker panics observed by the supervisor.
+    /// Worker panics caught by the workers.
     pub worker_panics: u64,
     /// Checkpoint writes rejected by validation.
     pub torn_checkpoints: u64,
@@ -493,9 +495,9 @@ impl ServingHealth {
     /// internal inconsistency found — the standing health invariants the
     /// chaos harness asserts after each fault. Empty means coherent.
     ///
-    /// The panic identity allows one in-flight event: the supervisor
-    /// counts a panic before deciding restart-vs-abandon, so a concurrent
-    /// read may legitimately observe `panics == restarts + abandoned + 1`.
+    /// The panic identity allows one in-flight event: a worker counts its
+    /// panic before deciding restart-vs-abandon, so a concurrent read may
+    /// legitimately observe `panics == restarts + abandoned + 1`.
     pub fn coherence_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
         let mut check = |ok: bool, what: String| {
@@ -629,7 +631,7 @@ impl std::fmt::Display for ServingHealth {
 }
 
 /// The long-running serving front end: single-producer ingest with
-/// backpressure, supervised shard workers, and epoch-stamped snapshot
+/// backpressure, self-restarting shard workers, and epoch-stamped snapshot
 /// publication.
 pub struct ServingEstimator {
     config: AscsConfig,
@@ -639,7 +641,8 @@ pub struct ServingEstimator {
     opts: ServeOptions,
     shared: Arc<ServeShared>,
     workers: Vec<Arc<WorkerShared>>,
-    supervisor: Option<JoinHandle<()>>,
+    /// One thread per shard, joined by shutdown.
+    threads: Vec<JoinHandle<()>>,
     scratch: Vec<Vec<ShardUpdate>>,
     quarantined_samples: u64,
     overload_rejections: u64,
@@ -689,16 +692,7 @@ impl ServingEstimator {
     /// Algorithm 3 with the 10 %-exploration fallback (like
     /// `CovarianceEstimator::new_or_fallback`).
     pub fn launch(config: AscsConfig, opts: ServeOptions) -> Self {
-        let bounds = TheoryBounds::new(
-            config.num_pairs(),
-            config.geometry.range,
-            config.geometry.rows,
-            config.alpha,
-            config.sigma,
-            config.signal_strength,
-            config.total_samples,
-        );
-        let solver = HyperParameterSolver::new(bounds);
+        let solver = HyperParameterSolver::new(config.theory_bounds());
         let (hp, _fell_back) =
             solver.solve_or_fallback(config.tau0, config.delta, config.delta_star, 0.1);
         Self::launch_with_hyperparameters(config, Some(hp), opts)
@@ -821,46 +815,37 @@ impl ServingEstimator {
         // durable one — so the bootstrap path and the crash-recovery path
         // are one code path: a recovery bug cannot hide behind a
         // divergent cold start.
+        let save = |sketch: &AscsSketch| {
+            let mut bytes = Vec::new();
+            sketch
+                .save(&mut bytes)
+                .expect("in-memory checkpoint write cannot fail");
+            (bytes, sketch.inserted_updates() + sketch.skipped_updates())
+        };
         let (t, stream_ctx, emitted_updates, boot, initial) = match recovered {
             Some(state) => {
-                let boot: Vec<(Vec<u8>, u64)> = state
-                    .shard_sketches
-                    .iter()
-                    .map(|sketch| {
-                        let mut bytes = Vec::new();
-                        sketch
-                            .save(&mut bytes)
-                            .expect("in-memory checkpoint write cannot fail");
-                        (bytes, sketch.inserted_updates() + sketch.skipped_updates())
-                    })
-                    .collect();
-                assert_eq!(boot.len(), opts.shards, "recovery shard count mismatch");
-                let replies: Vec<(usize, AscsSketch)> =
-                    state.shard_sketches.into_iter().enumerate().collect();
-                let initial = snapshot_from(&config, state.epoch, &replies, None);
+                assert_eq!(
+                    state.shards.shards(),
+                    opts.shards,
+                    "recovery shard count mismatch"
+                );
+                let boot: Vec<(Vec<u8>, u64)> = state.shards.workers().iter().map(save).collect();
+                let initial = snapshot_from(&config, state.epoch, &state.shards, None);
                 (state.epoch, state.ctx, state.emitted_updates, boot, initial)
             }
             None => {
-                let prototype = prototype_sketch(&config, hyper.as_ref());
-                let mut checkpoint = Vec::new();
-                prototype
-                    .save(&mut checkpoint)
-                    .expect("in-memory checkpoint write cannot fail");
-                let initial = Snapshot {
-                    epoch: 0,
-                    merged: prototype.sketch().clone(),
-                    top: Vec::new(),
-                    inserted: 0,
-                    skipped: 0,
-                    num_pairs: config.num_pairs(),
-                    indexer: PairIndexer::new(config.dim),
-                    plan: None,
-                };
+                // Every shard starts as the same prototype, so one
+                // serialization boots them all and a one-worker set holds
+                // the epoch-0 merged view.
+                let prototype = AscsSketch::for_config(&config, hyper.as_ref());
+                let boot = vec![save(&prototype); opts.shards];
+                let initial = ShardedAscs::from_workers(vec![prototype], config.seed);
+                let initial = snapshot_from(&config, 0, &initial, None);
                 let ctx = StreamContext::new(config.dim, config.update_mode, config.estimand);
-                (0, ctx, 0, vec![(checkpoint, 0); opts.shards], initial)
+                (0, ctx, 0, boot, initial)
             }
         };
-        let router_salt = splitmix64(config.seed ^ ROUTER_SALT);
+        let router_salt = router_salt(config.seed);
         // Only the recipe is fixed here; the first worker to receive a
         // batch builds the plan, so launch latency does not grow with it.
         let recipe = Self::plan_eligible(&config).then(|| PlanRecipe {
@@ -873,14 +858,12 @@ impl ServingEstimator {
             ingest_epoch: AtomicU64::new(t),
             recovering: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
             torn_checkpoints: AtomicU64::new(0),
             failed_shards: AtomicU64::new(0),
             plan: PlanCell::new(recipe),
         });
-        let (events_tx, events_rx) = mpsc::channel();
         let mut workers = Vec::with_capacity(opts.shards);
-        let mut contexts = Vec::with_capacity(opts.shards);
+        let mut threads = Vec::with_capacity(opts.shards);
         for (shard, (checkpoint, checkpoint_updates)) in boot.into_iter().enumerate() {
             let worker = Arc::new(WorkerShared {
                 queue: ShardQueue::new(opts.queue_capacity),
@@ -893,25 +876,23 @@ impl ServingEstimator {
                 failed: AtomicBool::new(false),
                 restarts: AtomicU64::new(0),
             });
-            let ctx = WorkerContext {
+            threads.push(spawn_worker(WorkerContext {
                 shard,
                 shared: worker.clone(),
                 stats: shared.clone(),
                 injector: injector.clone(),
                 checkpoint_interval: opts.checkpoint_interval,
-            };
-            spawn_worker(ctx.clone(), events_tx.clone(), false);
+                max_restarts: opts.max_restarts,
+            }));
             workers.push(worker);
-            contexts.push(ctx);
         }
-        let supervisor = spawn_supervisor(contexts, events_tx, events_rx, opts.max_restarts);
         Self {
             ctx: stream_ctx,
             t,
             router_salt,
             shared,
             workers,
-            supervisor: Some(supervisor),
+            threads,
             scratch: vec![Vec::new(); opts.shards],
             quarantined_samples: 0,
             overload_rejections: 0,
@@ -1074,9 +1055,8 @@ impl ServingEstimator {
     /// A `Collect` envelope is enqueued behind every pending batch, so
     /// each worker replies with a clone of its sketch reflecting *exactly*
     /// the samples `1..=epoch` — the barrier rides the same FIFO as the
-    /// data. Replies are merged in shard order (bit-identical to
-    /// [`ShardedAscs::merged_sketch`](crate::sharded::ShardedAscs::merged_sketch))
-    /// and swapped in atomically; readers
+    /// data. The replies form a [`ShardedAscs`], whose merged table and
+    /// top list the snapshot carries, swapped in atomically; readers
     /// keep the previous snapshot until then. Blocks until every worker
     /// replies — through a recovery if one is in progress (that wait *is*
     /// the recovery-to-fresh-snapshot time the bench reports).
@@ -1086,18 +1066,19 @@ impl ServingEstimator {
     /// [`ServeError::SnapshotTimeout`] if the barrier exceeds 60 s.
     pub fn refresh_snapshot(&mut self) -> Result<Arc<Snapshot>, ServeError> {
         let epoch = self.t;
-        let replies = self.collect_sketches()?;
+        let shards = self.collect_sketches()?;
         let plan = self.shared.plan.ready().map(|ready| ready.plan.clone());
-        let snapshot = Arc::new(snapshot_from(&self.config, epoch, &replies, plan));
+        let snapshot = Arc::new(snapshot_from(&self.config, epoch, &shards, plan));
         *lock(&self.shared.published) = snapshot.clone();
         Ok(snapshot)
     }
 
     /// Runs the collect barrier: a `Collect` envelope behind every pending
-    /// batch, replies gathered and sorted in shard order. Shared by
-    /// snapshot publication and durable checkpointing — both need every
-    /// shard's sketch at exactly the current ingest epoch.
-    fn collect_sketches(&mut self) -> Result<Vec<(usize, AscsSketch)>, ServeError> {
+    /// batch, the replies gathered in shard order into the instance's
+    /// shard set. Shared by snapshot publication and durable
+    /// checkpointing — both need every shard's sketch at exactly the
+    /// current ingest epoch.
+    fn collect_sketches(&mut self) -> Result<ShardedAscs, ServeError> {
         let (tx, rx) = mpsc::channel();
         for (shard, worker) in self.workers.iter().enumerate() {
             if worker.failed.load(Ordering::SeqCst) {
@@ -1127,7 +1108,8 @@ impl ServingEstimator {
             }
         }
         replies.sort_by_key(|&(shard, _)| shard);
-        Ok(replies)
+        let workers = replies.into_iter().map(|(_, sketch)| sketch).collect();
+        Ok(ShardedAscs::from_workers(workers, self.config.seed))
     }
 
     /// Writes a durable checkpoint generation at the current ingest epoch:
@@ -1150,13 +1132,12 @@ impl ServingEstimator {
             "persist_checkpoint requires a durable launch"
         );
         let epoch = self.t;
-        let replies = self.collect_sketches().map_err(DurabilityError::Collect)?;
-        let sketches: Vec<AscsSketch> = replies.into_iter().map(|(_, sketch)| sketch).collect();
+        let shards = self.collect_sketches().map_err(DurabilityError::Collect)?;
         let store = self.store.as_mut().expect("checked above");
         store.persist_checkpoint(
             epoch,
             &self.ctx,
-            &sketches,
+            &shards,
             self.config.seed,
             self.emitted_updates,
         )?;
@@ -1263,7 +1244,11 @@ impl ServingEstimator {
             overload_rejections: self.overload_rejections,
             ingest_timeouts: self.ingest_timeouts,
             worker_panics: self.shared.panics.load(Ordering::SeqCst),
-            worker_restarts: self.shared.restarts.load(Ordering::SeqCst),
+            worker_restarts: self
+                .workers
+                .iter()
+                .map(|w| w.restarts.load(Ordering::SeqCst))
+                .sum(),
             torn_checkpoints: self.shared.torn_checkpoints.load(Ordering::SeqCst),
             recovering_workers: self.shared.recovering.load(Ordering::SeqCst),
             failed_shards: self.shared.failed_shards.load(Ordering::SeqCst),
@@ -1271,8 +1256,8 @@ impl ServingEstimator {
         }
     }
 
-    /// Stops every worker, joins the supervision tree and returns the
-    /// final counters. Dropping the instance performs the same shutdown
+    /// Stops every worker, joins their threads and returns the final
+    /// counters. Dropping the instance performs the same shutdown
     /// implicitly.
     pub fn shutdown(mut self) -> ServeStats {
         self.shutdown_inner();
@@ -1296,47 +1281,30 @@ impl ServingEstimator {
             // A failed shard has no consumer; the envelope is harmless.
             worker.queue.push(Envelope::Shutdown);
         }
-        if let Some(handle) = self.supervisor.take() {
-            let _ = handle.join();
+        for thread in self.threads.drain(..) {
+            // Workers catch their own panics, so a join cannot fail.
+            let _ = thread.join();
         }
     }
 }
 
-/// Merges worker replies exactly like
-/// [`ShardedAscs`](crate::sharded::ShardedAscs): tables fold in
-/// shard order, and the top list is the shard-ordered union of tracker
-/// keys re-scored against the merged table. A free function so the
-/// durable launch path can publish the recovered state before the
+/// The snapshot of a shard set at `epoch`: its merged table, its top list
+/// scored against that table, and its gate counters. A free function so
+/// the durable launch path can publish the recovered state before the
 /// estimator exists.
 fn snapshot_from(
     config: &AscsConfig,
     epoch: u64,
-    replies: &[(usize, AscsSketch)],
+    shards: &ShardedAscs,
     plan: Option<Arc<HashPlan>>,
 ) -> Snapshot {
-    let mut merged = replies[0].1.sketch().clone();
-    for (_, worker) in &replies[1..] {
-        merged.merge(worker.sketch());
-    }
-    let absolute = replies[0].1.absolute_gate();
-    let capacity = replies[0].1.top_k_capacity();
-    let mut top: Vec<(u64, f64)> = Vec::new();
-    for (_, worker) in replies {
-        for (key, _) in worker.top_pairs() {
-            let est = merged.estimate(key);
-            top.push((key, if absolute { est.abs() } else { est }));
-        }
-    }
-    top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    top.truncate(capacity);
-    let inserted = replies.iter().map(|(_, w)| w.inserted_updates()).sum();
-    let skipped = replies.iter().map(|(_, w)| w.skipped_updates()).sum();
+    let merged = shards.merged_sketch();
     Snapshot {
         epoch,
+        top: shards.top_pairs_in(&merged),
+        inserted: shards.inserted_updates(),
+        skipped: shards.skipped_updates(),
         merged,
-        top,
-        inserted,
-        skipped,
         num_pairs: config.num_pairs(),
         indexer: PairIndexer::new(config.dim),
         plan,

@@ -21,7 +21,7 @@
 //! sequential ingestion; the equivalence tests pin both properties down.
 
 use crate::ascs::AscsSketch;
-use crate::config::SketchGeometry;
+use crate::config::{AscsConfig, SketchGeometry};
 use crate::hyper::HyperParameters;
 use ascs_count_sketch::codec::{self, CodecError};
 use ascs_count_sketch::{median_in_place, CountSketch, HashPlan, MAX_ROWS};
@@ -42,12 +42,18 @@ pub struct ShardUpdate {
 
 /// Salt decorrelating the shard router from the sketch hash family, so that
 /// shard assignment never aligns with bucket assignment.
-pub(crate) const ROUTER_SALT: u64 = 0x9E6C_63D4_7D5F_B1A3;
+const ROUTER_SALT: u64 = 0x9E6C_63D4_7D5F_B1A3;
+
+/// The router salt of every shard set built with `seed`; the serving
+/// producer routes with it too.
+pub(crate) fn router_salt(seed: u64) -> u64 {
+    splitmix64(seed ^ ROUTER_SALT)
+}
 
 /// Batch size below which [`ShardedAscs::offer_batch`] stays on the calling
 /// thread — spawning workers for a handful of updates costs more than the
 /// updates themselves.
-const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
+pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
 /// Hard cap on the shard count: the plan-driven slot router stores one
 /// `u8` shard id per slot, and no machine this targets comes anywhere near
@@ -55,6 +61,15 @@ const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 /// and [`ShardedAscs::vanilla`] (not just deep inside the first planned
 /// batch) so an oversized configuration fails at construction time.
 pub const MAX_SHARDS: usize = 256;
+
+/// Fails fast on a shard count outside `1..=MAX_SHARDS`.
+fn check_shard_count(shards: usize) {
+    assert!(shards > 0, "sharded ingestion needs at least one shard");
+    assert!(
+        shards <= MAX_SHARDS,
+        "sharded ingestion supports at most {MAX_SHARDS} shards (slot routing stores u8 shard ids), got {shards}"
+    );
+}
 
 #[inline]
 pub(crate) fn shard_for(key: u64, salt: u64, shards: usize) -> usize {
@@ -118,21 +133,9 @@ impl ShardedAscs {
         seed: u64,
         shards: usize,
     ) -> Self {
-        assert!(shards > 0, "sharded ingestion needs at least one shard");
-        assert!(
-            shards <= MAX_SHARDS,
-            "sharded ingestion supports at most {MAX_SHARDS} shards (slot routing stores u8 shard ids), got {shards}"
-        );
-        let workers = (0..shards)
-            .map(|_| AscsSketch::new(geometry, hyper, total_samples, top_k_capacity, seed))
-            .collect();
-        Self {
-            workers,
-            router_salt: splitmix64(seed ^ ROUTER_SALT),
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            scratch: vec![Vec::new(); shards],
-            slot_router: Vec::new(),
-        }
+        Self::replicate(shards, seed, || {
+            AscsSketch::new(geometry, hyper, total_samples, top_k_capacity, seed)
+        })
     }
 
     /// Creates `shards` vanilla (always-ingest) workers — the parallel
@@ -149,17 +152,46 @@ impl ShardedAscs {
         seed: u64,
         shards: usize,
     ) -> Self {
-        assert!(shards > 0, "sharded ingestion needs at least one shard");
-        assert!(
-            shards <= MAX_SHARDS,
-            "sharded ingestion supports at most {MAX_SHARDS} shards (slot routing stores u8 shard ids), got {shards}"
-        );
-        let workers = (0..shards)
-            .map(|_| AscsSketch::vanilla(geometry, total_samples, top_k_capacity, seed))
-            .collect();
+        Self::replicate(shards, seed, || {
+            AscsSketch::vanilla(geometry, total_samples, top_k_capacity, seed)
+        })
+    }
+
+    /// `shards` workers booted from [`AscsSketch::for_config`]: gated with
+    /// `hyper`, vanilla without.
+    pub(crate) fn for_config(
+        config: &AscsConfig,
+        hyper: Option<&HyperParameters>,
+        shards: usize,
+    ) -> Self {
+        Self::replicate(shards, config.seed, || {
+            AscsSketch::for_config(config, hyper)
+        })
+    }
+
+    /// The one constructor body: checks the shard count before building
+    /// any sketch, then builds every shard with `worker`.
+    fn replicate(shards: usize, seed: u64, worker: impl Fn() -> AscsSketch) -> Self {
+        check_shard_count(shards);
+        Self::from_parts((0..shards).map(|_| worker()).collect(), router_salt(seed))
+    }
+
+    /// Adopts already-built worker sketches, in shard order, as the shard
+    /// set routed by `seed` — the form collected serving shards and
+    /// recovered checkpoints take.
+    ///
+    /// # Panics
+    /// Panics on an empty set or more than [`MAX_SHARDS`] workers.
+    pub(crate) fn from_workers(workers: Vec<AscsSketch>, seed: u64) -> Self {
+        check_shard_count(workers.len());
+        Self::from_parts(workers, router_salt(seed))
+    }
+
+    fn from_parts(workers: Vec<AscsSketch>, router_salt: u64) -> Self {
+        let shards = workers.len();
         Self {
             workers,
-            router_salt: splitmix64(seed ^ ROUTER_SALT),
+            router_salt,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             scratch: vec![Vec::new(); shards],
             slot_router: Vec::new(),
@@ -323,18 +355,31 @@ impl ShardedAscs {
     /// [`ShardedAscs::estimate`] would answer. Keys are disjoint across
     /// shards, so the union needs no deduplication.
     pub fn top_pairs(&self) -> Vec<(u64, f64)> {
+        self.top_pairs_scored(|key| self.estimate(key))
+    }
+
+    /// [`ShardedAscs::top_pairs`] scored against an already materialised
+    /// [`ShardedAscs::merged_sketch`] — the same bits, without a merged
+    /// read per key.
+    pub(crate) fn top_pairs_in(&self, merged: &CountSketch) -> Vec<(u64, f64)> {
+        self.top_pairs_scored(|key| merged.estimate(key))
+    }
+
+    /// The one top-list rule: the shard-ordered union of tracker keys,
+    /// scored by `estimate` (as `|est|` under the absolute gate), largest
+    /// first with ties by key, cut at the tracker capacity.
+    fn top_pairs_scored(&self, estimate: impl Fn(u64) -> f64) -> Vec<(u64, f64)> {
         let absolute = self.workers[0].absolute_gate();
-        let capacity = self.workers[0].top_k_capacity();
-        let mut merged: Vec<(u64, f64)> = Vec::new();
+        let mut top: Vec<(u64, f64)> = Vec::new();
         for worker in &self.workers {
             for (key, _) in worker.top_pairs() {
-                let est = self.estimate(key);
-                merged.push((key, if absolute { est.abs() } else { est }));
+                let est = estimate(key);
+                top.push((key, if absolute { est.abs() } else { est }));
             }
         }
-        merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        merged.truncate(capacity);
-        merged
+        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(self.workers[0].top_k_capacity());
+        top
     }
 
     /// Total updates inserted across all shards.
@@ -383,13 +428,7 @@ impl ShardedAscs {
         for _ in 0..shards {
             workers.push(AscsSketch::restore(r)?);
         }
-        Ok(Self {
-            workers,
-            router_salt,
-            parallel_threshold: parallel_threshold.max(1),
-            scratch: vec![Vec::new(); shards],
-            slot_router: Vec::new(),
-        })
+        Ok(Self::from_parts(workers, router_salt).with_parallel_threshold(parallel_threshold))
     }
 
     /// Restores a checkpointed worker set and merges it into `self`

@@ -1,7 +1,8 @@
-//! The supervision tree behind [`crate::serve::ServingEstimator`]: bounded
+//! The shard workers behind [`crate::serve::ServingEstimator`]: bounded
 //! shard queues, the worker loop (apply → checkpoint → collect), and the
-//! supervisor thread that restarts panicked workers from their last good
-//! checkpoint and replays the in-flight batch log.
+//! worker thread that catches its own panics and restarts the loop in
+//! place from its last good checkpoint plus the in-flight batch log, until
+//! the shard's restart budget is spent.
 //!
 //! Everything here is crate-private; the public surface lives in
 //! [`crate::serve`].
@@ -14,10 +15,11 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 
 /// Locks a mutex, clearing poison: a worker panicking while holding a lock
-/// must not take the whole service down — the supervisor restores the
-/// protected state from the checkpoint anyway.
+/// must not take the whole service down — the restarted worker restores
+/// the protected state from the checkpoint anyway.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -118,32 +120,26 @@ pub(crate) struct RecoveryState {
     pub(crate) applied_updates: u64,
 }
 
-/// Per-shard state shared between producer, worker and supervisor.
+/// Per-shard state shared between the producer and the shard's worker.
 pub(crate) struct WorkerShared {
     pub(crate) queue: ShardQueue,
     pub(crate) recovery: Mutex<RecoveryState>,
-    /// Set by the supervisor once the restart budget is exhausted.
+    /// Set by the worker once its restart budget is exhausted.
     pub(crate) failed: AtomicBool,
     /// Restarts performed for this shard (the budget spent so far),
     /// surfaced per shard in `ServingHealth`.
     pub(crate) restarts: AtomicU64,
 }
 
-/// The immutable spawn recipe for one worker thread (cloned to respawn).
-#[derive(Clone)]
+/// Everything one worker thread runs with, restarts included.
 pub(crate) struct WorkerContext {
     pub(crate) shard: usize,
     pub(crate) shared: Arc<WorkerShared>,
     pub(crate) stats: Arc<ServeShared>,
     pub(crate) injector: Arc<dyn FaultInjector>,
     pub(crate) checkpoint_interval: usize,
-}
-
-pub(crate) enum WorkerEvent {
-    /// Clean exit (Shutdown envelope).
-    Exited,
-    /// The worker body panicked; the supervisor decides restart vs fail.
-    Panicked(usize),
+    /// Restarts allowed before the shard is abandoned.
+    pub(crate) max_restarts: u64,
 }
 
 /// The serving instance's hash plan over the pair universe `0..p` and its
@@ -209,7 +205,7 @@ impl PlanCell {
 /// batch's first update, and the injector is asked before every update).
 /// The driver memoizes the gate per distinct `t`, so gated results are
 /// bit-identical to sequential ingestion.
-pub(crate) fn apply_batch(
+fn apply_batch(
     sketch: &mut AscsSketch,
     batch: &[ShardUpdate],
     plan: Option<&HashPlan>,
@@ -227,7 +223,7 @@ pub(crate) fn apply_batch(
 
 /// Decrements the shared `recovering` gauge exactly once — on the normal
 /// path *and* when an injected panic unwinds out of a recovery replay
-/// (the supervisor re-increments before each respawn). Without this, a
+/// (the worker re-increments before each restart). Without this, a
 /// crash-during-recovery would inflate the gauge permanently and pin the
 /// service degraded.
 struct RecoveringGuard<'a> {
@@ -246,8 +242,8 @@ impl Drop for RecoveringGuard<'_> {
 /// injected panic cannot loop forever. An injector opting in via
 /// [`FaultInjector::inject_during_recovery`] has its panics offered during
 /// the replay too (shard-local indices continue from the checkpoint base);
-/// the supervisor's restart budget bounds the resulting crash loop. The
-/// loop then serves the queue until `Shutdown`.
+/// the shard's restart budget bounds the resulting crash loop. The loop
+/// then serves the queue until `Shutdown`.
 ///
 /// The first worker to receive a batch builds the instance's
 /// [`ServePlan`] (when the instance is under the plan size rule): off the
@@ -326,55 +322,23 @@ fn run_worker(ctx: &WorkerContext, recovering: bool) {
     }
 }
 
-/// Spawns one worker thread whose body runs under `catch_unwind`; the exit
-/// disposition is reported to the supervisor. Handles are detached — the
-/// supervisor owns lifecycle through the event channel.
-pub(crate) fn spawn_worker(
-    ctx: WorkerContext,
-    events: mpsc::Sender<WorkerEvent>,
-    recovering: bool,
-) {
+/// Spawns one worker thread. It runs [`run_worker`] under `catch_unwind`
+/// and, after a panic, counts it and runs it again on the recovery path —
+/// until the shard has used `max_restarts` restarts, when it marks the
+/// shard failed and exits. A `Shutdown` envelope ends it cleanly.
+pub(crate) fn spawn_worker(ctx: WorkerContext) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let shard = ctx.shard;
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, recovering)));
-        let event = match outcome {
-            Ok(()) => WorkerEvent::Exited,
-            Err(_) => WorkerEvent::Panicked(shard),
-        };
-        let _ = events.send(event);
-    });
-}
-
-/// Spawns the supervisor thread: it watches worker exits, restarts
-/// panicked workers (recovery path) until the per-shard budget is spent,
-/// then marks the shard failed. Returns once every worker is gone.
-pub(crate) fn spawn_supervisor(
-    contexts: Vec<WorkerContext>,
-    events_tx: mpsc::Sender<WorkerEvent>,
-    events_rx: mpsc::Receiver<WorkerEvent>,
-    max_restarts: u64,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut live = contexts.len();
-        while live > 0 {
-            match events_rx.recv() {
-                Ok(WorkerEvent::Exited) => live -= 1,
-                Ok(WorkerEvent::Panicked(shard)) => {
-                    let ctx = &contexts[shard];
-                    ctx.stats.panics.fetch_add(1, Ordering::SeqCst);
-                    if ctx.shared.restarts.load(Ordering::SeqCst) >= max_restarts {
-                        ctx.shared.failed.store(true, Ordering::SeqCst);
-                        ctx.stats.failed_shards.fetch_add(1, Ordering::SeqCst);
-                        live -= 1;
-                    } else {
-                        ctx.shared.restarts.fetch_add(1, Ordering::SeqCst);
-                        ctx.stats.restarts.fetch_add(1, Ordering::SeqCst);
-                        ctx.stats.recovering.fetch_add(1, Ordering::SeqCst);
-                        spawn_worker(ctx.clone(), events_tx.clone(), true);
-                    }
-                }
-                Err(_) => break,
+        let mut recovering = false;
+        while catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, recovering))).is_err() {
+            ctx.stats.panics.fetch_add(1, Ordering::SeqCst);
+            if ctx.shared.restarts.load(Ordering::SeqCst) >= ctx.max_restarts {
+                ctx.shared.failed.store(true, Ordering::SeqCst);
+                ctx.stats.failed_shards.fetch_add(1, Ordering::SeqCst);
+                return;
             }
+            ctx.shared.restarts.fetch_add(1, Ordering::SeqCst);
+            ctx.stats.recovering.fetch_add(1, Ordering::SeqCst);
+            recovering = true;
         }
     })
 }

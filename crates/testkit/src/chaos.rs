@@ -1057,7 +1057,8 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Checks a recovered (or cold-started) state against the truth.
+    /// Checks a recovered (or cold-started) state against the truth:
+    /// emitted count, merged table, gate counters and top list.
     fn check_recovered(
         &mut self,
         state: &RecoveredState,
@@ -1091,7 +1092,8 @@ impl<'a> Runner<'a> {
                 ),
             ));
         }
-        let recovered: Vec<u64> = state
+        let shards = state.shard_set();
+        let recovered: Vec<u64> = shards
             .merged_sketch()
             .table()
             .iter()
@@ -1101,6 +1103,27 @@ impl<'a> Runner<'a> {
             return Err(self.violation(
                 "recovered state bit-identical to per-epoch truth",
                 format!("{what}: merged table diverged at epoch {epoch}"),
+            ));
+        }
+        let counts = (shards.inserted_updates(), shards.skipped_updates());
+        if counts != (truth.inserted, truth.skipped) {
+            return Err(self.violation(
+                "recovered state bit-identical to per-epoch truth",
+                format!(
+                    "{what}: gate counters {counts:?} != {:?} at epoch {epoch}",
+                    (truth.inserted, truth.skipped)
+                ),
+            ));
+        }
+        let top: Vec<(u64, u64)> = shards
+            .top_pairs()
+            .into_iter()
+            .map(|(k, v)| (k, v.to_bits()))
+            .collect();
+        if top != truth.top {
+            return Err(self.violation(
+                "recovered state bit-identical to per-epoch truth",
+                format!("{what}: top pairs diverged at epoch {epoch}"),
             ));
         }
         Ok(())

@@ -193,7 +193,7 @@ impl FaultPlan {
     /// Opts this plan into fault injection *during recovery replay*: by
     /// default a restarted worker replays without injection so one-shot
     /// panics cannot loop; with this set, panic rules keep firing during
-    /// the replay and the supervisor's restart budget bounds the loop.
+    /// the replay and the shard's restart budget bounds the loop.
     #[must_use]
     pub fn with_recovery_injection(mut self) -> Self {
         self.inject_recovery = true;

@@ -145,7 +145,7 @@ fn rearmable_panic_trigger_drives_a_crash_loop_into_the_restart_budget() {
     // A trigger that panics shard 0 on every third update, firing during
     // recovery replay too: with the exemption lifted, replaying the batch
     // that caused the panic panics again, so the worker crash-loops until
-    // the supervisor's restart budget abandons the shard.
+    // its restart budget is spent and the shard is abandoned.
     let plan = Arc::new(
         FaultPlan::new()
             .panic_trigger(0, Trigger::every(3))

@@ -116,7 +116,9 @@ fn assert_snapshot_matches(snapshot: &Snapshot, oracle: &ReplayOracle, what: &st
     assert_eq!(top, oracle.top_pairs(), "{what}: top pairs diverged");
 }
 
-/// Bit-identity for a raw [`RecoveredState`] (no serving relaunch needed).
+/// Full bit-identity for a raw [`RecoveredState`] (no serving relaunch
+/// needed): the recovered shard set's merged table, gate counters and top
+/// pairs, and the emitted counter, equal the sequential oracle's.
 fn assert_recovered_matches(state: &RecoveredState, oracle: &ReplayOracle, what: &str) {
     assert_eq!(state.epoch(), oracle.samples(), "{what}: epoch mismatch");
     assert_eq!(
@@ -124,7 +126,8 @@ fn assert_recovered_matches(state: &RecoveredState, oracle: &ReplayOracle, what:
         oracle.emitted_updates(),
         "{what}: emitted counters diverged"
     );
-    let recovered: Vec<u64> = state
+    let shards = state.shard_set();
+    let recovered: Vec<u64> = shards
         .merged_sketch()
         .table()
         .iter()
@@ -137,6 +140,19 @@ fn assert_recovered_matches(state: &RecoveredState, oracle: &ReplayOracle, what:
         .map(|v| v.to_bits())
         .collect();
     assert_eq!(recovered, truth, "{what}: merged tables diverged");
+    assert_eq!(
+        (shards.inserted_updates(), shards.skipped_updates()),
+        oracle.update_counts(),
+        "{what}: gate counters diverged"
+    );
+    let bits = |top: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+        top.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(shards.top_pairs()),
+        bits(oracle.top_pairs()),
+        "{what}: top pairs diverged"
+    );
 }
 
 #[test]
@@ -618,31 +634,6 @@ fn every_filesystem_crash_point_recovers_a_consistent_durable_prefix() {
     assert!(ops > 50, "workload exercised only {ops} fs operations");
     std::fs::remove_dir_all(&probe_dir).unwrap();
 
-    // Precompute oracle prefixes once (epoch → merged table bits).
-    let mut oracle = ReplayOracle::new(&cfg, Some(&hp), 2);
-    let mut truth: Vec<(Vec<u64>, u64)> = Vec::with_capacity(total as usize + 1);
-    truth.push((
-        oracle
-            .merged_sketch()
-            .table()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect(),
-        0,
-    ));
-    for t in 1..=total {
-        oracle.ingest(&sample_at(t));
-        truth.push((
-            oracle
-                .merged_sketch()
-                .table()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect(),
-            oracle.emitted_updates(),
-        ));
-    }
-
     let dir = temp_dir("matrix");
     for op in 0..ops {
         let _ = std::fs::remove_dir_all(&dir);
@@ -660,22 +651,10 @@ fn every_filesystem_crash_point_recovers_a_consistent_durable_prefix() {
              not recovered (got {epoch}): {}",
             outcome.report
         );
-        let (expected_table, expected_emitted) = &truth[epoch as usize];
-        let recovered: Vec<u64> = outcome
-            .state
-            .merged_sketch()
-            .table()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(
-            &recovered, expected_table,
-            "crash point {op}: recovered state diverged at epoch {epoch}"
-        );
-        assert_eq!(
-            outcome.state.emitted_updates(),
-            *expected_emitted,
-            "crash point {op}: emitted counter diverged at epoch {epoch}"
+        assert_recovered_matches(
+            &outcome.state,
+            &oracle_at(&cfg, Some(&hp), 2, epoch),
+            &format!("crash point {op} at epoch {epoch}"),
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -685,9 +664,14 @@ fn every_filesystem_crash_point_recovers_a_consistent_durable_prefix() {
 // Real process death: spawn a child, SIGKILL it mid-ingest, recover.
 // ---------------------------------------------------------------------------
 
-/// Child half of the SIGKILL pair. A no-op unless `ASCS_SIGKILL_CHILD_DIR`
+/// The SIGKILL child's checkpoint cadence.
+const CHILD_CHECKPOINT_EVERY: u64 = 64;
+
+/// Child half of the SIGKILL tests. A no-op unless `ASCS_SIGKILL_CHILD_DIR`
 /// is set, in which case it ingests the shared deterministic stream into a
-/// durable estimator until killed.
+/// durable estimator until killed. After each sample's ingest returns it
+/// prints `acked <t>` and waits for one line on stdin before the next
+/// sample; it exits if stdin closes (the parent is gone).
 #[test]
 fn sigkill_child_ingest_loop() {
     let Some(dir) = std::env::var_os("ASCS_SIGKILL_CHILD_DIR") else {
@@ -701,67 +685,132 @@ fn sigkill_child_ingest_loop() {
         Some(hp),
         ServeOptions::default(),
         DurabilityOptions {
-            checkpoint_every: 64,
+            checkpoint_every: CHILD_CHECKPOINT_EVERY,
             wal_segment_records: 128,
             ..DurabilityOptions::new(&dir)
         },
     )
     .expect("child durable launch failed");
+    let mut go = String::new();
     for t in 1..=total {
         serving
             .ingest_blocking(&sample_at(t))
             .expect("child ingest failed");
+        println!("acked {t}");
+        go.clear();
+        if std::io::stdin().read_line(&mut go).map_or(true, |n| n == 0) {
+            std::process::exit(0);
+        }
     }
     unreachable!("the parent must SIGKILL this process long before 1M samples");
 }
 
-/// Parent half: spawns this very test binary running only the child test,
-/// waits for durable progress on disk, SIGKILLs the child, and recovers —
-/// asserting the state is bit-identical to the sequential oracle at the
-/// recovered epoch and reporting the recovery time.
+/// A running SIGKILL child. Its ack thread answers every `acked <t>` line
+/// with a go-ahead; once `park` is set it stops answering at the next
+/// acknowledged sample that no checkpoint covers, leaving the child
+/// waiting with nothing newer written. The thread returns the largest `t`
+/// acknowledged (a line cut short by the kill can only understate it) and
+/// the child's stdin, which must stay open until the child is dead.
+struct SigkillChild {
+    child: std::process::Child,
+    park: Arc<std::sync::atomic::AtomicBool>,
+    acks: std::thread::JoinHandle<(u64, std::process::ChildStdin)>,
+}
+
+impl SigkillChild {
+    /// Spawns this very test binary running only the child test, and waits
+    /// until it has durably checkpointed at least once, so the kill lands
+    /// mid-stream.
+    fn spawn(dir: &std::path::Path) -> Self {
+        use std::io::{BufRead as _, Write as _};
+        let exe = std::env::current_exe().expect("test binary path");
+        let mut child = std::process::Command::new(exe)
+            .args(["sigkill_child_ingest_loop", "--exact", "--nocapture"])
+            .env("ASCS_SIGKILL_CHILD_DIR", dir)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawning the child failed");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        let stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let park = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let parked = park.clone();
+        let acks = std::thread::spawn(move || {
+            let mut last = 0;
+            for line in stdout.lines().map_while(Result::ok) {
+                let Some(t) = line.strip_prefix("acked ").and_then(|t| t.parse().ok()) else {
+                    continue;
+                };
+                last = t;
+                let uncovered = t % CHILD_CHECKPOINT_EVERY != 0;
+                if (parked.load(std::sync::atomic::Ordering::SeqCst) && uncovered)
+                    || writeln!(stdin, "go").is_err()
+                {
+                    break;
+                }
+            }
+            (last, stdin)
+        });
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "child produced no durable progress in time"
+            );
+            if let Some(status) = child.try_wait().expect("try_wait failed") {
+                panic!("child exited prematurely: {status}");
+            }
+            let manifests = std::fs::read_dir(dir)
+                .map(|entries| {
+                    entries
+                        .filter_map(|e| e.ok())
+                        .filter(|e| e.path().to_string_lossy().ends_with(".manifest"))
+                        .count()
+                })
+                .unwrap_or(0);
+            if manifests >= 1 {
+                return Self { child, park, acks };
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// SIGKILLs the child wherever it is — no destructors, no flushes, real
+    /// process death — and returns the last sample it acknowledged.
+    fn kill(mut self) -> u64 {
+        self.child.kill().expect("kill failed");
+        self.child.wait().expect("wait failed");
+        self.acks.join().expect("ack thread panicked").0
+    }
+
+    /// Waits until the child parks right after acknowledging a sample that
+    /// only the WAL holds, then SIGKILLs it; returns that sample.
+    fn park_and_kill(mut self) -> u64 {
+        self.park.store(true, std::sync::atomic::Ordering::SeqCst);
+        let (last, stdin) = self.acks.join().expect("ack thread panicked");
+        self.child.kill().expect("kill failed");
+        self.child.wait().expect("wait failed");
+        drop(stdin);
+        last
+    }
+}
+
+/// Parent half: spawns the child, lets it run past its first durable
+/// checkpoint, parks it right after it acknowledges a sample that only the
+/// WAL holds, SIGKILLs it, and recovers — asserting the recovered epoch is
+/// exactly that last acknowledged sample (the default
+/// `FsyncPolicy::Always` fsyncs every record before its ingest returns,
+/// and the parked child wrote nothing newer), that the state is
+/// bit-identical to the sequential oracle at that epoch, and reporting the
+/// recovery time.
 #[test]
 fn sigkilled_process_recovers_bit_identically_from_disk() {
     let dir = temp_dir("sigkill");
     let total = 1_000_000u64;
     let cfg = config(total, 127); // must mirror the child exactly
     let hp = hyper(total);
-
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut child = std::process::Command::new(exe)
-        .args(["sigkill_child_ingest_loop", "--exact", "--nocapture"])
-        .env("ASCS_SIGKILL_CHILD_DIR", &dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawning the child failed");
-
-    // Wait until the child has durably checkpointed at least once and is
-    // deep into a WAL segment, so the kill lands mid-stream.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "child produced no durable progress in time"
-        );
-        if let Some(status) = child.try_wait().expect("try_wait failed") {
-            panic!("child exited prematurely: {status}");
-        }
-        let manifests = std::fs::read_dir(&dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| e.path().to_string_lossy().ends_with(".manifest"))
-                    .count()
-            })
-            .unwrap_or(0);
-        if manifests >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    // SIGKILL: no destructors, no flushes — real process death.
-    child.kill().expect("kill failed");
-    child.wait().expect("wait failed");
+    let last_acked = SigkillChild::spawn(&dir).park_and_kill();
 
     let started = Instant::now();
     let outcome = RecoveryManager::new(&dir)
@@ -770,13 +819,18 @@ fn sigkilled_process_recovers_bit_identically_from_disk() {
     let recovery_time = started.elapsed();
     let epoch = outcome.state.epoch();
     assert!(epoch >= 64, "no checkpointed progress recovered: {epoch}");
+    assert_eq!(
+        epoch, last_acked,
+        "the recovered epoch must be the last acknowledged sample ({})",
+        outcome.report
+    );
     assert_recovered_matches(
         &outcome.state,
         &oracle_at(&cfg, Some(&hp), ServeOptions::default().shards, epoch),
         "post-SIGKILL state",
     );
     println!(
-        "SIGKILL recovery: epoch {epoch} in {:.2} ms ({})",
+        "SIGKILL recovery: epoch {epoch} (last acked {last_acked}) in {:.2} ms ({})",
         recovery_time.as_secs_f64() * 1e3,
         outcome.report
     );
@@ -811,7 +865,7 @@ fn recovery_on_a_pristine_directory_is_a_clean_cold_start() {
         .expect("cold-start recovery failed");
     assert_eq!(outcome.state.epoch(), 0);
     assert_eq!(outcome.state.emitted_updates(), 0);
-    assert_eq!(outcome.state.shard_sketches().len(), 2);
+    assert_eq!(outcome.state.shard_set().shards(), 2);
     let report = &outcome.report;
     assert_eq!(report.checkpoint_generation, None);
     assert_eq!(report.wal_segments_scanned, 0);
@@ -824,8 +878,10 @@ fn recovery_on_a_pristine_directory_is_a_clean_cold_start() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Double crash: first a real SIGKILL mid-ingest, then a fault-injected
-/// process death landing *while the recovery replays the WAL*, absorbed
+/// Double crash: first a real SIGKILL wherever the child happens to be
+/// (recovery must still reach the last sample it acknowledged), then a
+/// fault-injected process death landing *while the recovery replays the
+/// WAL*, absorbed
 /// by the bounded re-entry budget. A third, clean cold start must see
 /// exactly the same directory: the crashed recovery attempt may not have
 /// changed what any later recovery rebuilds, and the final state must be
@@ -839,39 +895,7 @@ fn double_crash_with_kill_during_wal_replay_recovers_bit_identically() {
     let cfg = config(total, 127); // must mirror the SIGKILL child exactly
     let hp = hyper(total);
     let shards = ServeOptions::default().shards;
-
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut child = std::process::Command::new(exe)
-        .args(["sigkill_child_ingest_loop", "--exact", "--nocapture"])
-        .env("ASCS_SIGKILL_CHILD_DIR", &dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawning the child failed");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "child produced no durable progress in time"
-        );
-        if let Some(status) = child.try_wait().expect("try_wait failed") {
-            panic!("child exited prematurely: {status}");
-        }
-        let manifests = std::fs::read_dir(&dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| e.path().to_string_lossy().ends_with(".manifest"))
-                    .count()
-            })
-            .unwrap_or(0);
-        if manifests >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    child.kill().expect("kill failed");
-    child.wait().expect("wait failed");
+    let last_acked = SigkillChild::spawn(&dir).kill();
 
     // Probe twice with a counting filesystem: the first pass may sweep
     // stray files, the second gives the steady-state op count a repeat
@@ -893,6 +917,10 @@ fn double_crash_with_kill_during_wal_replay_recovers_bit_identically() {
         ops = probe.op_count();
     }
     assert!(clean_epoch >= 64, "no checkpointed progress: {clean_epoch}");
+    assert!(
+        clean_epoch >= last_acked,
+        "acknowledged sample {last_acked} lost: recovered only epoch {clean_epoch}"
+    );
 
     let crash_fs = Arc::new(FaultFs::new().crash_at_op(ops - 2));
     let outcome = recover_with_reentry(&dir, &cfg, Some(&hp), shards, 3, |attempt| {

@@ -860,6 +860,7 @@ fn single_byte_corruption_of_durability_files_is_always_detected() {
             );
             let recovered: Vec<u64> = outcome
                 .state
+                .shard_set()
                 .merged_sketch()
                 .table()
                 .iter()

@@ -9,8 +9,8 @@
 //! that oracle — tables, gate counters and top lists.
 //!
 //! Note: the injected-panic tests intentionally print panic backtraces to
-//! stderr (the workers really do panic); the supervisor catching and
-//! recovering from them is exactly what is under test.
+//! stderr (the workers really do panic); each worker catching and
+//! recovering from its own panic is exactly what is under test.
 
 use ascs::core::serve::{IngestError, ServeOptions, ServingEstimator, Snapshot};
 use ascs::prelude::*;
@@ -374,8 +374,8 @@ fn degraded_mode_serves_the_stale_snapshot_while_recovery_is_held() {
         serving.ingest_blocking(&s).expect("ingest failed");
         oracle.ingest(&s);
     }
-    // Wait for the supervisor to restart the worker; the replacement then
-    // parks in before_recovery, freezing the service mid-recovery.
+    // Wait for the worker to restart itself; its recovery then parks in
+    // before_recovery, freezing the service mid-recovery.
     let deadline = Instant::now() + Duration::from_secs(30);
     while serving.stats().recovering_workers == 0 {
         assert!(Instant::now() < deadline, "recovery never started");
